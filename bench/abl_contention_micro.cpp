@@ -11,8 +11,8 @@
 // structure-of-arrays fabric layout (DESIGN.md §3) is measured on, so a
 // regression on the resolve path shows up here first.
 //
-// All cells run the default Subscription engine — what every test, bench
-// and serving-path verification uses.
+// All cells run the default Simd engine — what every test, bench and
+// serving-path verification uses.
 #include <cstdio>
 #include <vector>
 
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     });
   }
 
-  // The busy-root incast (the stall-subscription engine's acceptance cell).
+  // The busy-root incast: the whole incast line parks behind the root.
   // First-order prediction: the root's egress stream serializes before the
   // incast drain, and the root consumes at most one wavelet per cycle, so
   // T ~ busy_sends * B (egress) + (P-1) * B (serialized ingress); ramp

@@ -1,17 +1,12 @@
 // Stepping-mode A/B cells: the same contention-bound schedules run under
-// every FabricSim stepping engine — worklist, subscription (the default),
-// and the PR's vectorized + tile-partitioned modes — timed head-to-head.
+// both FabricSim stepping engines — the FullScan oracle and the Simd
+// production engine — timed head-to-head.
 //
 // Cycle counts are asserted identical across modes (the parity contract,
-// pinned exhaustively by tests/test_fabric_worklist_parity.cpp); what this
-// binary measures is wall time per engine on the mover-dominated shapes the
-// sweep engines exist for. The headline metrics are speedup ratios of the
-// new engines over the subscription baseline; tools/bench_trend.py gates on
-// the binary's wall time like the other perf cells.
-//
-// The partitioned cell honours WSR_FABRIC_THREADS/WSR_FABRIC_TILE, so the
-// same binary measures single-thread overhead (threads=1, the determinism
-// tax) and scaling on multi-core hosts.
+// pinned exhaustively by tests/test_fabric_parity.cpp); what this binary
+// measures is wall time per engine on the mover-dominated shapes. The
+// headline metric is Simd's speedup over the oracle; tools/bench_trend.py
+// gates on the binary's wall time like the other perf cells.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -82,10 +77,8 @@ int main(int argc, char** argv) {
     cells.push_back(std::move(xy));
   }
 
-  const std::vector<wse::SteppingMode> modes = {
-      wse::SteppingMode::Worklist, wse::SteppingMode::Subscription,
-      wse::SteppingMode::Vectorized, wse::SteppingMode::Partitioned,
-      wse::SteppingMode::Simd};
+  const std::vector<wse::SteppingMode> modes = {wse::SteppingMode::FullScan,
+                                                wse::SteppingMode::Simd};
 
   // One series per mode; "measured" is the (mode-invariant) cycle count so
   // the standard figure doubles as a parity spot check, wall time is what
@@ -131,21 +124,10 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  const u32 sub = 1;  // subscription's index in `modes`
-  for (u32 mi = sub + 1; mi < modes.size(); ++mi) {
-    for (u32 ci = 0; ci < cells.size(); ++ci) {
-      bench.metric(series[mi].label + " speedup vs subscription (" +
-                       cells[ci].label + ")",
-                   times[sub][ci].seconds / times[mi][ci].seconds);
-    }
-  }
-  // PR 10 headline: the SIMD plane sweep against the per-register
-  // vectorized engine it repacks (acceptance gate: >= 1.3x geomean).
-  const u32 vec = 2, simd = 4;
   for (u32 ci = 0; ci < cells.size(); ++ci) {
-    bench.metric("simd speedup vs vectorized (" + std::string(cells[ci].label) +
+    bench.metric("simd speedup vs fullscan (" + std::string(cells[ci].label) +
                      ")",
-                 times[vec][ci].seconds / times[simd][ci].seconds);
+                 times[0][ci].seconds / times[1][ci].seconds);
   }
   return bench.finish();
 }

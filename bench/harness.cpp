@@ -462,8 +462,8 @@ int Bench::finish() {
   std::string out = "{\"bench\":" + json_str(name_) +
                     ",\"jobs\":" + std::to_string(options_.jobs) +
                     ",\"fabric_stepping\":" +
-                    json_str(std::string(
-                        wse::stepping_mode_name(wse::default_stepping_mode()))) +
+                    json_str(std::string(wse::stepping_mode_name(
+                        wse::FabricOptions{}.stepping))) +
                     ",\"repeat\":" + std::to_string(options_.repeat) +
                     ",\"wall_seconds\":" + json_num(wall_s) +
                     ",\"figures\":[" + figures_json_ + "]" +

@@ -98,11 +98,12 @@ i64 xy_composed_cycles(const std::function<wse::Schedule(u32)>& lane_schedule,
 /// its own) must complete before the incast recv may start, so the entire
 /// incast line backs up into occupied-but-immovable router registers — the
 /// back-to-back serving shape (plan N's broadcast egress overlapping plan
-/// N+1's inbound reduce) and the stall-subscription engine's acceptance
-/// cell. Callers must grow the root's input vector to busy_sends * vec_len
-/// elements (the outbound stream reads past B); `busy_root_star_inputs`
-/// does both steps. Parity across stepping modes is pinned by
-/// tests/test_fabric_worklist_parity.cpp, speed by bench/micro_machinery.
+/// N+1's inbound reduce), where the Simd engine's stall-cause parking does
+/// the most work. Callers must grow the root's input vector to
+/// busy_sends * vec_len elements (the outbound stream reads past B);
+/// `busy_root_star_inputs` does both steps. Parity across stepping modes is
+/// pinned by tests/test_fabric_parity.cpp (FabricParity.BusyRootIncast),
+/// speed by bench/micro_machinery.
 wse::Schedule make_busy_root_star(u32 num_pes, u32 vec_len, u32 busy_sends);
 
 /// Canonical inputs for make_busy_root_star with the root's vector grown to

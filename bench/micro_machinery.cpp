@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the library machinery itself: the
 // Auto-Gen DP table fill (the paper's O(P^4)-with-pruning claim), the
 // lower-bound DP (O(P^3)), schedule compilation, and the throughput of both
-// simulators — including the per-stepping-mode FabricSim cells and an
+// simulators — including the FullScan-vs-Simd FabricSim cells and an
 // allocation-counting harness over the simulator hot loops.
 #include <benchmark/benchmark.h>
 
@@ -104,20 +104,19 @@ static void BM_FabricSimChain(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricSimChain)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
-// The stepping modes on the same schedules (results are bit-identical;
-// tests/test_fabric_worklist_parity.cpp pins that). Arg pair: (PEs, vec_len).
-// Small B is latency-bound — most PEs idle most cycles — which is where the
-// worklist wins an order of magnitude over the full scan. Runs additionally
-// report run-phase heap allocations per simulated cycle: the hot loops are
-// required to stay allocation-free in steady state (amortized vector growth
-// only), and this counter is how a regression shows up.
+// The two stepping modes on the same schedules (results are bit-identical;
+// tests/test_fabric_parity.cpp pins that). Arg pair: (PEs, vec_len). Small B
+// is latency-bound — most PEs idle most cycles — which is where Simd's
+// active sets win an order of magnitude over the full-scan reference. Runs
+// additionally report run-phase heap allocations per simulated cycle: the
+// hot loops are required to stay allocation-free in steady state (amortized
+// vector growth only), and this counter is how a regression shows up.
 static void BM_FabricSteppingCell(benchmark::State& state,
                                   wse::SteppingMode mode,
-                                  const wse::Schedule& s, u32 threads = 0) {
+                                  const wse::Schedule& s) {
   const auto inputs = wse::make_inputs(s, runtime::canonical_input);
   wse::FabricOptions opt;
   opt.stepping = mode;
-  opt.threads = threads;
   i64 cycles = 1;
   unsigned long long run_allocs = 0;
   for (auto _ : state) {
@@ -144,63 +143,27 @@ static void BM_FabricSimStepping(benchmark::State& state,
   BM_FabricSteppingCell(state, mode,
                         collectives::make_reduce_1d(algo, p, b));
 }
-static void BM_FabricWorklistChain(benchmark::State& state) {
-  BM_FabricSimStepping(state, wse::SteppingMode::Worklist, ReduceAlgo::Chain);
-}
-static void BM_FabricSubscriptionChain(benchmark::State& state) {
-  BM_FabricSimStepping(state, wse::SteppingMode::Subscription,
-                       ReduceAlgo::Chain);
-}
 static void BM_FabricReferenceChain(benchmark::State& state) {
   BM_FabricSimStepping(state, wse::SteppingMode::FullScan, ReduceAlgo::Chain);
-}
-static void BM_FabricWorklistTree(benchmark::State& state) {
-  BM_FabricSimStepping(state, wse::SteppingMode::Worklist, ReduceAlgo::Tree);
-}
-static void BM_FabricSubscriptionTree(benchmark::State& state) {
-  BM_FabricSimStepping(state, wse::SteppingMode::Subscription,
-                       ReduceAlgo::Tree);
 }
 static void BM_FabricReferenceTree(benchmark::State& state) {
   BM_FabricSimStepping(state, wse::SteppingMode::FullScan, ReduceAlgo::Tree);
 }
-static void BM_FabricVectorizedChain(benchmark::State& state) {
-  BM_FabricSimStepping(state, wse::SteppingMode::Vectorized, ReduceAlgo::Chain);
-}
-static void BM_FabricVectorizedTree(benchmark::State& state) {
-  BM_FabricSimStepping(state, wse::SteppingMode::Vectorized, ReduceAlgo::Tree);
-}
-// PR 10 cells: the bitmask-plane engine on every shape the vectorized cells
-// cover. The latency-bound chain/tree cells guard against plane-walk
-// overhead regressing the sparse regime; the contention cells below are
-// where the 64-registers-per-word sweep must win. The planes themselves are
-// constructor-allocated; allocs_per_kcycle holds the hot loop to the same
-// amortized-vector-growth-only standard as every other engine.
+// The latency-bound chain/tree cells guard against plane-walk overhead
+// regressing the sparse regime; the contention cells below are where the
+// 64-registers-per-word sweep must win. The planes themselves are
+// constructor-allocated; allocs_per_kcycle holds the hot loop to amortized
+// vector growth only.
 static void BM_FabricSimdChain(benchmark::State& state) {
   BM_FabricSimStepping(state, wse::SteppingMode::Simd, ReduceAlgo::Chain);
 }
 static void BM_FabricSimdTree(benchmark::State& state) {
   BM_FabricSimStepping(state, wse::SteppingMode::Simd, ReduceAlgo::Tree);
 }
-BENCHMARK(BM_FabricWorklistChain)
-    ->Args({512, 1})->Args({512, 64})->Args({512, 256})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricSubscriptionChain)
-    ->Args({512, 1})->Args({512, 64})->Args({512, 256})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FabricReferenceChain)
     ->Args({512, 1})->Args({512, 64})->Args({512, 256})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricWorklistTree)
-    ->Args({512, 1})->Args({512, 64})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricSubscriptionTree)
-    ->Args({512, 1})->Args({512, 64})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FabricReferenceTree)
-    ->Args({512, 1})->Args({512, 64})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricVectorizedChain)
-    ->Args({512, 1})->Args({512, 64})->Args({512, 256})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricVectorizedTree)
     ->Args({512, 1})->Args({512, 64})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FabricSimdChain)
     ->Args({512, 1})->Args({512, 64})->Args({512, 256})
@@ -210,131 +173,51 @@ BENCHMARK(BM_FabricSimdTree)
 
 // Contention-bound cells: a 512-PE Star is a deep incast whose occupied
 // registers are mostly *stalled* (waiting for a downstream PE to finish its
-// own send phase), which the worklist mode re-resolves every cycle and the
-// subscription mode parks until the blocking resource changes.
-static void BM_FabricIncastStar(benchmark::State& state,
-                                wse::SteppingMode mode) {
+// own send phase), which Simd parks until the blocking resource changes.
+static void BM_FabricSimdStar(benchmark::State& state) {
   const u32 p = static_cast<u32>(state.range(0));
   const u32 b = static_cast<u32>(state.range(1));
-  BM_FabricSteppingCell(state, mode,
+  BM_FabricSteppingCell(state, wse::SteppingMode::Simd,
                         collectives::make_reduce_1d(ReduceAlgo::Star, p, b));
 }
-static void BM_FabricWorklistStar(benchmark::State& state) {
-  BM_FabricIncastStar(state, wse::SteppingMode::Worklist);
-}
-static void BM_FabricSubscriptionStar(benchmark::State& state) {
-  BM_FabricIncastStar(state, wse::SteppingMode::Subscription);
-}
-static void BM_FabricVectorizedStar(benchmark::State& state) {
-  BM_FabricIncastStar(state, wse::SteppingMode::Vectorized);
-}
-static void BM_FabricSimdStar(benchmark::State& state) {
-  BM_FabricIncastStar(state, wse::SteppingMode::Simd);
-}
-BENCHMARK(BM_FabricWorklistStar)
-    ->Args({512, 64})->Args({512, 256})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricSubscriptionStar)
-    ->Args({512, 64})->Args({512, 256})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricVectorizedStar)
-    ->Args({512, 64})->Args({512, 256})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FabricSimdStar)
     ->Args({512, 64})->Args({512, 256})->Unit(benchmark::kMillisecond);
 
-// The ISSUE 3 acceptance cell: a 512-PE Star incast whose root is still
-// streaming a previous result out (bench::make_busy_root_star — the
-// back-to-back shape of pipelined collectives on a serving system, plan N's
-// broadcast egress overlapping plan N+1's inbound reduce). While the root's
-// egress runs, all 511 senders are backed up into ~1000 occupied-but-
-// immovable registers; the worklist mode re-resolves every one of them
-// every cycle, the subscription engine parks them all and touches only the
-// 3-register outbound stream. Subscription must be >= 5x worklist here
-// while the latency-bound chain cells above stay flat. Parity across all
-// three modes on exactly this shape is pinned by
-// tests/test_fabric_worklist_parity.cpp (BusyRootIncast).
-static void BM_FabricIncastBusyRoot(benchmark::State& state,
-                                    wse::SteppingMode mode) {
+// A 512-PE Star incast whose root is still streaming a previous result out
+// (bench::make_busy_root_star — the back-to-back shape of pipelined
+// collectives on a serving system, plan N's broadcast egress overlapping
+// plan N+1's inbound reduce). While the root's egress runs, all 511 senders
+// are backed up into ~1000 occupied-but-immovable registers, which Simd
+// parks, touching only the 3-register outbound stream. Parity on exactly
+// this shape is pinned by tests/test_fabric_parity.cpp (BusyRootIncast).
+static void BM_FabricSimdBusyRootStar(benchmark::State& state) {
   const u32 p = static_cast<u32>(state.range(0));
   const u32 b = static_cast<u32>(state.range(1));
   const u32 busy_sends = static_cast<u32>(state.range(2));
   const wse::Schedule s = bench::make_busy_root_star(p, b, busy_sends);
   const auto inputs = bench::busy_root_star_inputs(s, b, busy_sends);
-  wse::FabricOptions opt;
-  opt.stepping = mode;
   i64 cycles = 1;
   for (auto _ : state) {
-    const auto r = wse::run_fabric(s, inputs, opt);
+    const auto r = wse::run_fabric(s, inputs);
     cycles = r.cycles;
     benchmark::DoNotOptimize(r.cycles);
   }
   state.counters["sim_cycles"] = static_cast<double>(cycles);
 }
-static void BM_FabricWorklistBusyRootStar(benchmark::State& state) {
-  BM_FabricIncastBusyRoot(state, wse::SteppingMode::Worklist);
-}
-static void BM_FabricSubscriptionBusyRootStar(benchmark::State& state) {
-  BM_FabricIncastBusyRoot(state, wse::SteppingMode::Subscription);
-}
-static void BM_FabricVectorizedBusyRootStar(benchmark::State& state) {
-  BM_FabricIncastBusyRoot(state, wse::SteppingMode::Vectorized);
-}
-static void BM_FabricSimdBusyRootStar(benchmark::State& state) {
-  BM_FabricIncastBusyRoot(state, wse::SteppingMode::Simd);
-}
-BENCHMARK(BM_FabricWorklistBusyRootStar)
-    ->Args({512, 16, 2048})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricSubscriptionBusyRootStar)
-    ->Args({512, 16, 2048})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricVectorizedBusyRootStar)
-    ->Args({512, 16, 2048})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FabricSimdBusyRootStar)
     ->Args({512, 16, 2048})->Unit(benchmark::kMillisecond);
 
 // Dense 2D phase at 512 PEs: every row runs a Star incast concurrently, then
 // the column does — the per-cycle stalled-register population is ~the whole
 // grid during the row phase.
-static void BM_Fabric2DStar(benchmark::State& state, wse::SteppingMode mode) {
+static void BM_FabricSimd2DStar(benchmark::State& state) {
   const u32 b = static_cast<u32>(state.range(0));
   BM_FabricSteppingCell(
-      state, mode,
+      state, wse::SteppingMode::Simd,
       collectives::make_reduce_2d_xy(ReduceAlgo::Star, {32, 16}, b));
 }
-static void BM_FabricWorklist2DStar(benchmark::State& state) {
-  BM_Fabric2DStar(state, wse::SteppingMode::Worklist);
-}
-static void BM_FabricSubscription2DStar(benchmark::State& state) {
-  BM_Fabric2DStar(state, wse::SteppingMode::Subscription);
-}
-static void BM_FabricVectorized2DStar(benchmark::State& state) {
-  BM_Fabric2DStar(state, wse::SteppingMode::Vectorized);
-}
-static void BM_FabricSimd2DStar(benchmark::State& state) {
-  BM_Fabric2DStar(state, wse::SteppingMode::Simd);
-}
-BENCHMARK(BM_FabricWorklist2DStar)
-    ->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricSubscription2DStar)
-    ->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FabricVectorized2DStar)
-    ->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FabricSimd2DStar)
     ->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
-
-// Partitioned cells: the multi-threaded tile engine on the dense 2D shape
-// (the only family with real spatial parallelism), at explicit thread
-// counts so the cell is comparable across hosts. The allocs_per_kcycle
-// counter covers worker-thread allocations too (the operator-new override
-// is process-wide): per-tile worklists and boundary outboxes must reach an
-// allocation-free steady state exactly like the single-threaded engines.
-static void BM_FabricPartitioned2DStar(benchmark::State& state) {
-  const u32 b = static_cast<u32>(state.range(0));
-  const u32 threads = static_cast<u32>(state.range(1));
-  BM_FabricSteppingCell(
-      state, wse::SteppingMode::Partitioned,
-      collectives::make_reduce_2d_xy(ReduceAlgo::Star, {32, 16}, b), threads);
-}
-BENCHMARK(BM_FabricPartitioned2DStar)
-    ->Args({256, 1})->Args({256, 2})->Args({256, 4})
-    ->Unit(benchmark::kMillisecond);
 
 static void BM_FlowSimChain(benchmark::State& state) {
   const u32 p = static_cast<u32>(state.range(0));

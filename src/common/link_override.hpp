@@ -19,6 +19,7 @@
 // inert for that grid — one machine description serves every sub-grid.
 #pragma once
 
+#include <compare>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -37,6 +38,7 @@ struct LinkOverride {
   bool failed() const { return factor == 0; }
 
   friend bool operator==(const LinkOverride&, const LinkOverride&) = default;
+  friend auto operator<=>(const LinkOverride&, const LinkOverride&) = default;
 };
 
 /// True when the override names a link that exists inside `grid` (source

@@ -13,69 +13,6 @@ u32 hardware_jobs() {
   return hw == 0 ? 1 : hw;
 }
 
-ThreadPool::ThreadPool(u32 threads)
-    : threads_(threads == 0 ? hardware_jobs() : threads) {
-  workers_.reserve(threads_ - 1);
-  for (u32 t = 0; t + 1 < threads_; ++t) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_relaxed);
-  // Publish a final generation so parked workers re-check stop_.
-  generation_.fetch_add(1, std::memory_order_release);
-  for (std::thread& t : workers_) t.join();
-}
-
-namespace {
-// Spin-then-yield wait: per-cycle simulator barriers fire every ~1us, so a
-// bounded spin window catches the common case; the yield fallback keeps an
-// oversubscribed pool (more threads than cores) from burning a core.
-template <typename Pred>
-void spin_until(const Pred& ready) {
-  for (u32 spins = 0; !ready(); ++spins) {
-    if (spins >= 4096) std::this_thread::yield();
-  }
-}
-}  // namespace
-
-void ThreadPool::worker_loop() {
-  u64 seen = 0;
-  for (;;) {
-    spin_until([&] {
-      return generation_.load(std::memory_order_acquire) != seen;
-    });
-    seen = generation_.load(std::memory_order_acquire);
-    if (stop_.load(std::memory_order_relaxed)) return;
-    for (std::size_t i;
-         (i = next_.fetch_add(1, std::memory_order_relaxed)) < n_;) {
-      call_(ctx_, i);
-    }
-    done_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void ThreadPool::run(std::size_t n, FnRef fn) {
-  if (n == 0) return;
-  if (workers_.empty()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  n_ = n;
-  call_ = fn.fn();
-  ctx_ = fn.ctx();
-  done_.store(0, std::memory_order_relaxed);
-  next_.store(0, std::memory_order_relaxed);
-  generation_.fetch_add(1, std::memory_order_release);
-  for (std::size_t i;
-       (i = next_.fetch_add(1, std::memory_order_relaxed)) < n_;) {
-    call_(ctx_, i);
-  }
-  const u64 want = workers_.size();
-  spin_until([&] { return done_.load(std::memory_order_acquire) == want; });
-}
-
 void parallel_for_index(std::size_t n, u32 jobs,
                         const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;

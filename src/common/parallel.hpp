@@ -9,11 +9,8 @@
 // (tests/test_sweep_determinism.cpp, tests/test_plan_cache.cpp).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <thread>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -27,70 +24,5 @@ u32 hardware_jobs();
 /// which is the reference behaviour parallel runs must reproduce.
 void parallel_for_index(std::size_t n, u32 jobs,
                         const std::function<void(std::size_t)>& fn);
-
-/// Non-owning callable reference: a raw function pointer + context, so the
-/// per-phase dispatch of ThreadPool::run never heap-allocates (the tile
-/// stepping loops are required to be allocation-free in steady state —
-/// bench/micro_machinery.cpp counts). Built from any lvalue lambda; the
-/// referee must outlive the call.
-class FnRef {
- public:
-  template <typename F>
-  FnRef(F& f)  // NOLINT: implicit by design, mirrors function_ref
-      : ctx_(&f), call_([](void* ctx, std::size_t i) {
-          (*static_cast<F*>(ctx))(i);
-        }) {}
-  void operator()(std::size_t i) const { call_(ctx_, i); }
-  void* ctx() const { return ctx_; }
-  void (*fn())(void*, std::size_t) { return call_; }
-
- private:
-  void* ctx_;
-  void (*call_)(void*, std::size_t);
-};
-
-/// Persistent worker pool for phase-structured parallelism: FabricSim's
-/// partitioned stepping mode runs several barrier-separated phases per
-/// simulated cycle, so workers must be reused (thread creation costs ~10us;
-/// a cycle costs ~1us). Workers spin briefly on the phase generation
-/// counter before yielding, keeping the per-phase dispatch latency in the
-/// sub-microsecond range that per-cycle barriers need.
-///
-/// run(n, fn) executes fn(0..n-1) with dynamic (atomic counter) index
-/// scheduling across the pool's threads plus the caller, and returns only
-/// after every index completed (a full barrier). Which thread runs which
-/// index is not deterministic; callers must keep per-index work disjoint.
-/// run() itself never allocates.
-class ThreadPool {
- public:
-  /// Spawns threads-1 workers (0 means hardware_jobs()). A pool of 1 runs
-  /// everything inline on the caller.
-  explicit ThreadPool(u32 threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  u32 threads() const { return threads_; }
-
-  /// Runs fn(i) for i in [0, n) across the pool; blocks until all done.
-  void run(std::size_t n, FnRef fn);
-
- private:
-  void worker_loop();
-
-  u32 threads_ = 1;
-  std::vector<std::thread> workers_;
-  // Phase dispatch state: generation bumps publish a new (n, fn) pair;
-  // workers spin-then-yield on it. done counts completed *workers* (not
-  // indices) so the caller's barrier wait is one load per worker.
-  std::atomic<u64> generation_{0};
-  std::atomic<u64> done_{0};
-  std::atomic<std::size_t> next_{0};
-  std::atomic<bool> stop_{false};
-  std::size_t n_ = 0;
-  void (*call_)(void*, std::size_t) = nullptr;
-  void* ctx_ = nullptr;
-};
 
 }  // namespace wsr

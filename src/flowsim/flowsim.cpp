@@ -218,7 +218,7 @@ class Engine {
     i64 done_time = -1;
   };
 
-  // Worklist entries.
+  // Work-queue entries.
   struct RouterWork {
     u32 pe;
     u32 ci;

@@ -45,11 +45,11 @@ std::string plan_response_json(const PlanRequest& req, const Plan& plan,
     out += ",";
   }
   out += extra_fields;
-  // The stepping mode any in-process fabric verification would run under
-  // (WSR_FABRIC_STEPPING) — recorded so a served measurement is attributable
-  // to its engine.
+  // The stepping mode any in-process fabric verification runs under (the
+  // FabricOptions default) — recorded so a served measurement is
+  // attributable to its engine.
   out += "\"fabric_stepping\":\"";
-  out += wse::stepping_mode_name(wse::default_stepping_mode());
+  out += wse::stepping_mode_name(wse::FabricOptions{}.stepping);
   out += "\",";
   const CostTerms& t = plan.prediction.terms;
   out += "\"predicted_cycles\":" + std::to_string(plan.prediction.cycles);

@@ -52,18 +52,27 @@ Planner::Planner(u32 max_pes, MachineParams mp) : max_pes_(max_pes), mp_(mp) {
   WSR_ASSERT(max_pes_ >= 2, "planner needs max_pes >= 2");
 }
 
+Planner Planner::with_link_overrides(
+    std::vector<LinkOverride> link_overrides) const {
+  Planner p = *this;
+  p.mp_.link_overrides = std::move(link_overrides);
+  return p;
+}
+
 const autogen::AutoGenModel& Planner::autogen_model() const {
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (!autogen_) {
-    autogen_ = std::make_unique<autogen::AutoGenModel>(max_pes_, mp_);
+  std::lock_guard<std::mutex> lock(tables_->mu);
+  if (!tables_->autogen) {
+    tables_->autogen = std::make_unique<autogen::AutoGenModel>(max_pes_, mp_);
   }
-  return *autogen_;
+  return *tables_->autogen;
 }
 
 const autogen::LowerBound& Planner::lower_bound() const {
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (!lb_) lb_ = std::make_unique<autogen::LowerBound>(max_pes_, mp_);
-  return *lb_;
+  std::lock_guard<std::mutex> lock(tables_->mu);
+  if (!tables_->lb) {
+    tables_->lb = std::make_unique<autogen::LowerBound>(max_pes_, mp_);
+  }
+  return *tables_->lb;
 }
 
 registry::PlanContext Planner::context() const {

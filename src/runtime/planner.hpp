@@ -68,7 +68,8 @@ enum class PlanSource : u8;
 /// Thread-safety: a const Planner is safe to share across threads —
 /// plan()/predict_* are logically const, and the two lazy singletons
 /// (Auto-Gen model, lower bound) are built once behind an internal mutex.
-/// plan_many relies on exactly this.
+/// plan_many relies on exactly this. Copies (and with_link_overrides
+/// planners) share the singletons.
 ///
 /// Determinism: planning is a pure function of (max_pes-independent
 /// request, MachineParams). Selection evaluates name-sorted candidates
@@ -84,6 +85,13 @@ class Planner {
   /// length you will plan for; >= 2 asserted). Tables build lazily on
   /// first Auto-Gen use — constructing planners is cheap.
   explicit Planner(u32 max_pes, MachineParams mp = {});
+
+  /// This planner with `link_overrides` as the machine's degraded links.
+  /// It shares this planner's Auto-Gen and lower-bound tables, which read
+  /// only the pristine timing (MachineParams::per_depth_cycles): one set of
+  /// tables serves every defect map of a machine, so a front end can make
+  /// one of these per request at the cost of a copy.
+  Planner with_link_overrides(std::vector<LinkOverride> link_overrides) const;
 
   const MachineParams& machine() const { return mp_; }
   u32 max_pes() const { return max_pes_; }
@@ -155,12 +163,17 @@ class Planner {
   Plan plan_broadcast_2d(GridShape grid, u32 vec_len) const;
 
  private:
+  /// The lazy singletons; `mu` guards them, since plan_many workers share
+  /// the planner.
+  struct Tables {
+    std::mutex mu;
+    std::unique_ptr<autogen::AutoGenModel> autogen;
+    std::unique_ptr<autogen::LowerBound> lb;
+  };
+
   u32 max_pes_;
   MachineParams mp_;
-  /// Guards the lazy singletons below; plan_many workers share the planner.
-  mutable std::mutex lazy_mu_;
-  mutable std::unique_ptr<autogen::AutoGenModel> autogen_;
-  mutable std::unique_ptr<autogen::LowerBound> lb_;
+  std::shared_ptr<Tables> tables_ = std::make_shared<Tables>();
 };
 
 }  // namespace wsr::runtime

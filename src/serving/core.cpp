@@ -58,34 +58,42 @@ Core::Core(const Options& opts)
 
 const runtime::Planner& Core::planner_for(const MachineParams& mp,
                                           u32 max_dim) {
-  const PlannerKey key{mp, std::max<u32>(max_dim, 2)};
+  PlannerKey key{mp, std::max<u32>(max_dim, 2)};
+  key.mp.link_overrides.clear();
   std::lock_guard<std::mutex> lock(planners_mu_);
   auto& slot = planners_[key];
-  if (!slot) slot = std::make_unique<runtime::Planner>(key.max_dim, mp);
+  if (!slot) slot = std::make_unique<runtime::Planner>(key.max_dim, key.mp);
   return *slot;
 }
 
 std::string Core::serve_batch(std::vector<Request>& batch) {
-  // Group the batch's plannable lines by their planner.
-  std::map<const runtime::Planner*, std::vector<std::size_t>> groups;
+  // Group the batch's plannable lines by machine: the pristine machine's
+  // planner plus the line's degraded links.
+  using Machine = std::pair<const runtime::Planner*, std::vector<LinkOverride>>;
+  std::map<Machine, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].is_plan()) {
       const u32 max_dim =
           std::max(batch[i].req.grid.width, batch[i].req.grid.height);
-      groups[&planner_for(batch[i].mp, max_dim)].push_back(i);
+      groups[{&planner_for(batch[i].mp, max_dim), batch[i].mp.link_overrides}]
+          .push_back(i);
     }
   }
 
   std::vector<std::shared_ptr<const runtime::Plan>> plans(batch.size());
   std::vector<runtime::PlanSource> tiers(batch.size(),
                                          runtime::PlanSource::Planned);
-  for (const auto& [planner, indices] : groups) {
+  for (const auto& [machine, indices] : groups) {
+    // Shares the pristine planner's tables; the overrides reach pricing,
+    // the failed-link check and the cache key.
+    const runtime::Planner planner =
+        machine.first->with_link_overrides(machine.second);
     std::vector<runtime::PlanRequest> requests;
     requests.reserve(indices.size());
     for (std::size_t i : indices) requests.push_back(batch[i].req);
     std::vector<runtime::PlanSource> sources;
     const auto group_plans =
-        planner->plan_many(requests, &cache_, jobs_, &sources);
+        planner.plan_many(requests, &cache_, jobs_, &sources);
     for (std::size_t k = 0; k < indices.size(); ++k) {
       const std::size_t i = indices[k];
       plans[i] = group_plans[k];
@@ -96,7 +104,7 @@ std::string Core::serve_batch(std::vector<Request>& batch) {
       if ((tiers[i] == runtime::PlanSource::DiskHit ||
            tiers[i] == runtime::PlanSource::PeerHit) &&
           !plan_servable(*plans[i], batch[i].mp)) {
-        cache_.erase(runtime::PlanCache::key_for(*planner, batch[i].req));
+        cache_.erase(runtime::PlanCache::key_for(planner, batch[i].req));
         invalid_plans_.fetch_add(1);
         plans[i] = nullptr;
       }

@@ -46,9 +46,13 @@ struct Metrics {
   i64 start_us = now_us();
 };
 
-/// Planner table key: the full machine parameterization (never the hash —
-/// the cache-layer invariant that a hash collision can never cross-serve
-/// machines holds here too) plus the planner's DP bound.
+/// Planner table key: the pristine machine parameterization (never the
+/// hash — the cache-layer invariant that a hash collision can never
+/// cross-serve machines holds here too) plus the planner's DP bound.
+/// Degraded links are not part of it: the planner's tables never read them,
+/// so serve_batch derives each defect map's planner from the pristine one
+/// (Planner::with_link_overrides) and request input cannot grow the table
+/// beyond the `tr` range times the grid extents.
 struct PlannerKey {
   MachineParams mp;
   u32 max_dim = 2;
@@ -62,7 +66,7 @@ struct PlannerKey {
 };
 
 /// Shared serving state: one memory cache, one optional disk store, an
-/// optional fault-wrapped peer tier, and one Planner per (machine,
+/// optional fault-wrapped peer tier, and one Planner per (pristine machine,
 /// max-dimension) — the same construction wsr_plan uses per invocation, so
 /// plans (and therefore cache keys and responses) are identical between the
 /// daemon and the one-shot CLI.
@@ -92,10 +96,11 @@ class Core {
 
   /// Plans one batch of parsed requests and returns the response bytes in
   /// input order (one '\n'-terminated JSON object per line). The batch's
-  /// plannable lines are grouped per planner (requests may override the
-  /// machine via "tr") and each group goes through Planner::plan_many on
-  /// `jobs` workers. Lines carrying a preset error (parse failures, shed
-  /// "overloaded" markers) are answered without planning. Consumes `batch`.
+  /// plannable lines are grouped per machine (requests may override it via
+  /// "tr" and "link_overrides") and each group goes through
+  /// Planner::plan_many on `jobs` workers. Lines carrying a preset error
+  /// (parse failures, shed "overloaded" markers) are answered without
+  /// planning. Consumes `batch`.
   std::string serve_batch(std::vector<Request>& batch);
 
   /// The stats verb's payload (no trailing newline).
@@ -109,6 +114,7 @@ class Core {
   std::size_t prefetched() const { return prefetched_; }
 
  private:
+  /// The planner of `mp`'s pristine machine (link_overrides ignored).
   const runtime::Planner& planner_for(const MachineParams& mp, u32 max_dim);
   /// Answers one cache_get / cache_put line (including the serve_cache
   /// gate); returns the full response line with trailing newline.

@@ -2,152 +2,23 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 #include "wse/checks.hpp"
 
 namespace wsr::wse {
 
-std::optional<SteppingMode> parse_stepping_mode(std::string_view text) {
-  if (text == "fullscan") return SteppingMode::FullScan;
-  if (text == "worklist") return SteppingMode::Worklist;
-  if (text == "subscription") return SteppingMode::Subscription;
-  if (text == "vectorized") return SteppingMode::Vectorized;
-  if (text == "partitioned") return SteppingMode::Partitioned;
-  if (text == "simd") return SteppingMode::Simd;
-  return std::nullopt;
-}
-
 std::string_view stepping_mode_name(SteppingMode mode) {
   switch (mode) {
     case SteppingMode::FullScan: return "fullscan";
-    case SteppingMode::Worklist: return "worklist";
-    case SteppingMode::Subscription: return "subscription";
-    case SteppingMode::Vectorized: return "vectorized";
-    case SteppingMode::Partitioned: return "partitioned";
     case SteppingMode::Simd: return "simd";
   }
   return "unknown";
 }
 
-SteppingMode stepping_mode_from_env_value(const char* env) {
-  // Simd is the default as of PR 10: it produces bit-identical traces to
-  // the other modes (tests/test_fabric_worklist_parity.cpp) and beats the
-  // PR 6 Vectorized engine on the contention micros
-  // (bench/abl_stepping_modes.cpp, BENCH_PR10.json).
-  if (env == nullptr || *env == '\0') return SteppingMode::Simd;
-  const auto parsed = parse_stepping_mode(env);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr,
-                 "WSR_FABRIC_STEPPING='%s' is not a valid stepping mode; "
-                 "valid values: fullscan, worklist, subscription, "
-                 "vectorized, partitioned, simd\n",
-                 env);
-    std::exit(2);
-  }
-  return *parsed;
-}
-
 namespace {
-bool cpu_has_avx2() {
-#if defined(__x86_64__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-}  // namespace
-
-std::optional<SimdDispatch> parse_simd_dispatch(std::string_view text) {
-  if (text == "auto") return SimdDispatch::Auto;
-  if (text == "avx2") return SimdDispatch::Avx2;
-  if (text == "swar") return SimdDispatch::Swar;
-  if (text == "off") return SimdDispatch::Off;
-  return std::nullopt;
-}
-
-std::string_view simd_dispatch_name(SimdDispatch d) {
-  switch (d) {
-    case SimdDispatch::Auto: return "auto";
-    case SimdDispatch::Avx2: return "avx2";
-    case SimdDispatch::Swar: return "swar";
-    case SimdDispatch::Off: return "off";
-  }
-  return "unknown";
-}
-
-SimdDispatch simd_dispatch_from_env_value(const char* env) {
-  if (env == nullptr || *env == '\0') return SimdDispatch::Auto;
-  const auto parsed = parse_simd_dispatch(env);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr,
-                 "WSR_FABRIC_SIMD='%s' is not a valid dispatch choice; "
-                 "valid values: auto, avx2, swar, off\n",
-                 env);
-    std::exit(2);
-  }
-  if (*parsed == SimdDispatch::Avx2 && !cpu_has_avx2()) {
-    // A forced-kernel A/B run silently downgrading to the scalar walk would
-    // invalidate exactly the comparison the variable exists for.
-    std::fprintf(stderr,
-                 "WSR_FABRIC_SIMD=avx2 was forced but this CPU does not "
-                 "support AVX2; use auto, swar or off\n");
-    std::exit(2);
-  }
-  return *parsed;
-}
-
-SimdDispatch default_simd_dispatch() {
-  static const SimdDispatch d =
-      simd_dispatch_from_env_value(std::getenv("WSR_FABRIC_SIMD"));
-  return d;
-}
-
-SteppingMode default_stepping_mode() {
-  // Read once: the toggle is for whole-process A/B runs, and a mid-run
-  // setenv must not make two FabricOptions{} disagree.
-  static const SteppingMode mode =
-      stepping_mode_from_env_value(std::getenv("WSR_FABRIC_STEPPING"));
-  return mode;
-}
-
-namespace {
-// Strict u32 parse for the partitioned-mode knobs: like the stepping
-// toggle, a malformed value must fail the run, not silently measure the
-// default configuration.
-u32 u32_env_or_die(const char* name, const char* env) {
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0' || v > UINT32_MAX) {
-    std::fprintf(stderr, "%s='%s' is not a valid count (expected a "
-                 "non-negative integer; 0 means auto)\n", name, env);
-    std::exit(2);
-  }
-  return static_cast<u32>(v);
-}
-}  // namespace
-
-u32 default_fabric_threads() {
-  static const u32 threads =
-      u32_env_or_die("WSR_FABRIC_THREADS", std::getenv("WSR_FABRIC_THREADS"));
-  return threads;
-}
-
-u32 default_fabric_tile() {
-  static const u32 span =
-      u32_env_or_die("WSR_FABRIC_TILE", std::getenv("WSR_FABRIC_TILE"));
-  return span;
-}
-
-namespace {
-// sub_state_ values: where a register currently lives in the subscription
-// engine. Every occupied register is tracked by exactly one of: the pending
-// set (kPending), a waiter list (kParked), or this cycle's resolution
+// sub_state_ values: where a register currently lives in the Simd engine.
+// Every occupied register is tracked by exactly one of: the pending plane
+// (kPending), a waiter list (kParked), or this cycle's resolution
 // (untracked exactly while it is being moved).
 constexpr u8 kSubNone = 0;
 constexpr u8 kSubPending = 1;
@@ -155,22 +26,13 @@ constexpr u8 kSubParked = 2;
 }  // namespace
 
 FabricSim::FabricSim(const Schedule& schedule, FabricOptions options)
-    : layout_(schedule), opt_(options), sched_(&schedule) {
+    : layout_(schedule),
+      opt_(std::move(options)),
+      sched_(&schedule),
+      simd_(opt_.stepping == SteppingMode::Simd) {
   const u32 n = layout_.num_pes();
   const std::size_t total_regs = layout_.total_regs();
   const std::size_t total_colors = layout_.total_colors();
-
-  // Simd dispatch (WSR_FABRIC_SIMD): "off" turns Simd requests into the
-  // scalar Vectorized engine; otherwise resolve the word-scan kernel once.
-  if (opt_.stepping == SteppingMode::Simd) {
-    const SimdDispatch d = default_simd_dispatch();
-    if (d == SimdDispatch::Off) {
-      opt_.stepping = SteppingMode::Vectorized;
-    } else {
-      use_avx2_ = d == SimdDispatch::Avx2 ||
-                  (d == SimdDispatch::Auto && cpu_has_avx2());
-    }
-  }
 
   // Degraded links: only overrides naming links of this grid count; a
   // machine description listing failures elsewhere on the wafer runs the
@@ -179,13 +41,6 @@ FabricSim::FabricSim(const Schedule& schedule, FabricOptions options)
     degraded_ |= override_in_grid(o, schedule.grid);
   }
   if (degraded_) {
-    // The subscription/vectorized/partitioned engines' claim fast paths
-    // assume a link claimed this cycle is free the next; run the
-    // event-driven scalar engine instead (all modes are result-identical,
-    // so this changes wall time only).
-    if (opt_.stepping != SteppingMode::FullScan) {
-      opt_.stepping = SteppingMode::Worklist;
-    }
     link_slow_.assign(layout_.total_links(), 1);
     link_next_free_.assign(layout_.total_links(), 0);
     for (const LinkOverride& o : opt_.link_overrides) {
@@ -224,78 +79,48 @@ FabricSim::FabricSim(const Schedule& schedule, FabricOptions options)
   ramp_traffic_.assign(n, 0);
   done_.assign(n, 0);
   first_incomplete_.assign(n, 0);
-  occupied_regs_.assign(n, 0);
-  occ_mask_.assign(n, 0);
-  use_occ_mask_.resize(n);
   for (u32 pe = 0; pe < n; ++pe) {
-    use_occ_mask_[pe] = layout_.num_regs(pe) <= 64;
     mem_[pe].assign(std::max<u32>(schedule.memory_words(), 1), 0.0f);
     done_[pe] = schedule.programs[pe].ops.empty();
-    if (done_[pe]) done_count_.fetch_add(1, std::memory_order_relaxed);
+    done_count_ += done_[pe];
   }
 
   move_.assign(total_regs, MoveSlot{});
   reg_claim_epoch_.assign(total_regs, -1);
   link_claim_epoch_.assign(layout_.total_links(), -1);
   ramp_claim_epoch_.assign(n, -1);
-  in_proc_list_.assign(n, 0);
-  in_up_list_.assign(n, 0);
-  in_router_list_.assign(n, 0);
-  in_queue_list_.assign(n, 0);
-  simd_ = opt_.stepping == SteppingMode::Simd;
-  subscribed_ = opt_.stepping == SteppingMode::Subscription ||
-                opt_.stepping == SteppingMode::Vectorized || simd_;
-  if (subscribed_) {
+  if (simd_) {
+    rule_fast_.resize(total_colors);
+    in_proc_list_.assign(n, 0);
+    in_up_list_.assign(n, 0);
+    in_queue_list_.assign(n, 0);
     reg_waiter_head_.assign(total_regs, -1);
     color_waiter_head_.assign(total_colors, -1);
     waiter_next_.assign(total_regs, -1);
     sub_state_.assign(total_regs, kSubNone);
     up_parked_.assign(n, 0);
-  }
-
-  // Bitmask planes over the register key space: the Simd engine's candidate
-  // / claim-won planes, plus the structural-No plane the partitioned tiles
-  // share as a sweep pre-filter. Words past total_regs never get bits.
-  planes_ = simd_ || opt_.stepping == SteppingMode::Partitioned;
-  const std::size_t nwords = layout_.plane_words();
-  if (planes_) struct_ok_.assign(nwords, 0);
-  if (simd_) {
+    // Bitmask planes over the register key space. Words past total_regs
+    // never get bits.
+    const std::size_t nwords = layout_.plane_words();
+    struct_ok_.assign(nwords, 0);
     pend_plane_.words.assign(nwords, 0);
     att_plane_.words.assign(nwords, 0);
     word_scratch_.assign(nwords, 0);
-  }
-
-  // Fast-path rule descriptors: kept fresh in every mode (retirement is off
-  // the hot path) so the sweep engines can rely on them unconditionally.
-  rule_fast_.resize(total_colors);
-  for (u32 pe = 0; pe < n; ++pe) {
-    const u32 nc = layout_.num_colors(pe);
-    for (u32 ci = 0; ci < nc; ++ci) {
-      const std::size_t ck = layout_.color_key(pe, ci);
-      refresh_rule_fast(pe, ck);
-      if (planes_) refresh_struct_ok(pe, ck);
+    for (u32 pe = 0; pe < n; ++pe) {
+      const u32 nc = layout_.num_colors(pe);
+      for (u32 ci = 0; ci < nc; ++ci) {
+        const std::size_t ck = layout_.color_key(pe, ci);
+        refresh_rule_fast(pe, ck);
+        refresh_struct_ok(pe, ck);
+      }
     }
-  }
-
-  if (opt_.stepping == SteppingMode::Partitioned) {
-    verdict_.assign(total_regs, 0);
-    const u32 threads = opt_.threads == 0 ? hardware_jobs() : opt_.threads;
-    u32 span = opt_.tile_span;
-    if (span == 0) {
-      // Auto grain: ~4 tiles per worker balances dynamic scheduling against
-      // boundary handoff volume; one worker degenerates to a single tile.
-      const u32 extent =
-          layout_.grid().height > 1 ? layout_.grid().height : layout_.grid().width;
-      span = threads <= 1 ? extent : std::max<u32>(1, extent / (threads * 4));
+  } else {
+    occupied_regs_.assign(n, 0);
+    occ_mask_.assign(n, 0);
+    use_occ_mask_.resize(n);
+    for (u32 pe = 0; pe < n; ++pe) {
+      use_occ_mask_[pe] = layout_.num_regs(pe) <= 64;
     }
-    auto part = layout_.make_tiles(span);
-    tile_of_ = std::move(part.tile_of);
-    tiles_.resize(part.tiles.size());
-    for (std::size_t ti = 0; ti < tiles_.size(); ++ti) {
-      tiles_[ti].pe_lo = part.tiles[ti].pe_lo;
-      tiles_[ti].pe_hi = part.tiles[ti].pe_hi;
-    }
-    pool_ = std::make_unique<ThreadPool>(threads);
   }
 }
 
@@ -308,65 +133,36 @@ void FabricSim::set_memory(u32 pe, std::vector<float> data) {
   if (mem_[pe].size() < words) mem_[pe].resize(words, 0.0f);
 }
 
-// --- worklist / subscription bookkeeping -------------------------------------
-// None of these touch simulation state: they only decide which PEs (and, in
-// subscription mode, which router registers) get stepped. FullScan steps
-// everything, so they are no-ops there.
-
-// In partitioned mode each list lives in the PE's tile; every caller runs
-// on the owning tile's thread (placements into foreign tiles go through the
-// handoff outbox and are applied by the destination tile), so tile lists
-// are single-writer and the flags arrays are touched only by their owner.
+// --- active-set bookkeeping --------------------------------------------------
+// None of these touch simulation state: they only decide which PEs and
+// router registers the Simd engine steps. FullScan steps everything, so
+// they are no-ops there.
 
 void FabricSim::wake_processor(u32 pe) {
-  if (opt_.stepping == SteppingMode::FullScan) return;
-  if (!in_proc_list_[pe]) {
+  if (simd_ && !in_proc_list_[pe]) {
     in_proc_list_[pe] = 1;
-    auto& list = opt_.stepping == SteppingMode::Partitioned
-                     ? tiles_[tile_of_[pe]].proc_list
-                     : proc_list_;
-    list.push_back(pe);
+    proc_list_.push_back(pe);
   }
 }
 
 void FabricSim::note_up_pending(u32 pe) {
-  if (opt_.stepping == SteppingMode::FullScan) return;
-  if (!in_up_list_[pe]) {
+  if (simd_ && !in_up_list_[pe]) {
     in_up_list_[pe] = 1;
-    auto& list = opt_.stepping == SteppingMode::Partitioned
-                     ? tiles_[tile_of_[pe]].up_list
-                     : up_list_;
-    list.push_back(pe);
+    up_list_.push_back(pe);
   }
 }
 
 void FabricSim::note_queue_pending(u32 pe) {
-  if (opt_.stepping == SteppingMode::FullScan) return;
-  if (!in_queue_list_[pe]) {
+  if (simd_ && !in_queue_list_[pe]) {
     in_queue_list_[pe] = 1;
-    auto& list = opt_.stepping == SteppingMode::Partitioned
-                     ? tiles_[tile_of_[pe]].queue_list
-                     : queue_list_;
-    list.push_back(pe);
+    queue_list_.push_back(pe);
   }
-}
-
-void FabricSim::push_wake(i64 when, u32 pe) {
-  auto& heap = opt_.stepping == SteppingMode::Partitioned
-                   ? tiles_[tile_of_[pe]].wake_heap
-                   : wake_heap_;
-  heap.emplace_back(when, pe);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>());
 }
 
 void FabricSim::sub_pend(std::size_t key) {
   if (sub_state_[key] == kSubNone) {
     sub_state_[key] = kSubPending;
-    if (simd_) {
-      pend_plane_.set(key);
-    } else {
-      pending_.push_back(static_cast<u32>(key));
-    }
+    pend_plane_.set(key);
   }
 }
 
@@ -397,32 +193,23 @@ void FabricSim::sub_wake_plane(i32& head) {
 }
 
 void FabricSim::sub_wake_color(u32 pe, u32 ci) {
+  if (!simd_) return;
   // Every caller just advanced this color's rule chain or popped its
   // ingress queue — exactly the transitions the structural-No plane tracks.
-  if (planes_) refresh_struct_ok(pe, layout_.color_key(pe, ci));
-  if (!subscribed_) return;
-  i32& head = color_waiter_head_[layout_.color_key(pe, ci)];
-  if (head == -1) return;
-  if (simd_) {
-    sub_wake_plane(head);
-  } else {
-    sub_wake_list(head, pending_);
-  }
+  const std::size_t ck = layout_.color_key(pe, ci);
+  refresh_struct_ok(pe, ck);
+  i32& head = color_waiter_head_[ck];
+  if (head != -1) sub_wake_plane(head);
 }
 
 void FabricSim::sub_park(std::size_t key) {
   switch (static_cast<StallCause>(move_[key].cause_kind)) {
     case StallCause::Transient:
-      // Same-cycle arbitration loss: the claimed resource frees at the cycle
-      // boundary, so the register re-attempts next cycle. Losses only occur
-      // in cycles where the contended resource actually carried traffic, so
-      // the retry rides on real progress.
+      // Same-cycle arbitration loss (or a throttled link still recovering):
+      // the resource frees at a later cycle boundary, so the register
+      // re-attempts next cycle.
       sub_state_[key] = kSubPending;
-      if (simd_) {
-        pend_plane_.set(key);
-      } else {
-        pending_.push_back(static_cast<u32>(key));
-      }
+      pend_plane_.set(key);
       break;
     case StallCause::Register: {
       i32& head = reg_waiter_head_[move_[key].cause_payload];
@@ -447,64 +234,11 @@ void FabricSim::set_register(u32 pe, std::size_t ridx, float value) {
   const std::size_t key = layout_.reg_base(pe) + ridx;
   reg_value_[key] = value;
   reg_set_[key] = 1;
-  if (!subscribed_) {
-    // Per-PE occupancy counts/masks feed the scan-style candidate
-    // enumeration (fullscan, worklist, partitioned tiles); the subscription
-    // engines track occupied registers by key and never read them.
+  if (simd_) {
+    sub_pend(key);  // a fresh arrival is attempted at the next router phase
+  } else {
     ++occupied_regs_[pe];
     if (use_occ_mask_[pe]) occ_mask_[pe] |= u64{1} << ridx;
-  }
-  switch (opt_.stepping) {
-    case SteppingMode::FullScan:
-      break;
-    case SteppingMode::Worklist:
-      if (!in_router_list_[pe]) {
-        in_router_list_[pe] = 1;
-        router_list_.push_back(pe);
-      }
-      break;
-    case SteppingMode::Subscription:
-    case SteppingMode::Vectorized:
-    case SteppingMode::Simd:
-      // A fresh arrival must be attempted at the next router phase.
-      sub_pend(key);
-      break;
-    case SteppingMode::Partitioned:
-      if (!in_router_list_[pe]) {
-        in_router_list_[pe] = 1;
-        tiles_[tile_of_[pe]].router_list.push_back(pe);
-      }
-      break;
-  }
-}
-
-void FabricSim::clear_register(u32 pe, std::size_t ridx) {
-  const std::size_t key = layout_.reg_base(pe) + ridx;
-  reg_set_[key] = 0;
-  if (!subscribed_) {
-    WSR_ASSERT(occupied_regs_[pe] > 0, "register occupancy underflow");
-    --occupied_regs_[pe];
-    if (use_occ_mask_[pe]) occ_mask_[pe] &= ~(u64{1} << ridx);
-  }
-  if (subscribed_) {
-    // Waiters of an attempted register are pulled into the same cycle's
-    // attempt closure, so this list is normally already empty; draining it
-    // here is a safety net that costs one branch.
-    i32& head = reg_waiter_head_[key];
-    if (head != -1) {
-      if (simd_) {
-        sub_wake_plane(head);
-      } else {
-        sub_wake_list(head, pending_);
-      }
-    }
-    // Ramp registers may have the PE's up-ramp parked behind them (the
-    // inverse direction table is cheaper than the block-range arithmetic).
-    if (layout_.reg_dir(key) == static_cast<u32>(Dir::Ramp) &&
-        up_parked_[pe]) {
-      up_parked_[pe] = 0;
-      note_up_pending(pe);
-    }
   }
 }
 
@@ -626,13 +360,14 @@ bool FabricSim::step_processor(u32 pe) {
   }
   if (all_done) {
     done_[pe] = 1;
-    done_count_.fetch_add(1, std::memory_order_relaxed);
+    ++done_count_;
   }
-  if (opt_.stepping != SteppingMode::FullScan) {
+  if (simd_) {
     if (changed && !done_[pe]) {
       wake_processor(pe);  // streaming continues next cycle
     } else if (!changed && min_future != INT64_MAX) {
-      push_wake(min_future, pe);
+      wake_heap_.emplace_back(min_future, pe);
+      std::push_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>());
     }
   }
   return changed;
@@ -654,10 +389,10 @@ bool FabricSim::step_up_ramp(u32 pe) {
       up.pop();
       wake_processor(pe);  // egress capacity freed
       changed = true;
-    } else if (subscribed_) {
+    } else if (simd_) {
       // The previous wavelet of this color is still parked in the ramp
-      // register: wait for its clear_register to re-arm us instead of
-      // re-stepping every cycle.
+      // register: wait for the gather that clears it to re-arm us instead
+      // of re-stepping every cycle.
       up_parked_[pe] = 1;
       return changed;
     }
@@ -690,7 +425,7 @@ bool FabricSim::resolve_move(u32 pe, u32 dir, std::size_t key) {
   }
   slot.epoch = cycle_;
   slot.state = MoveState::InProgress;
-  // Stall-cause channel for the subscription engine: whenever this function
+  // Stall-cause channel for the Simd engine's parking: whenever this function
   // decides No it also records *why* (the first failing condition, in
   // direction order). That condition persisting implies the register stays
   // No, so parking on it until it changes is sound; transient same-cycle
@@ -809,57 +544,22 @@ bool FabricSim::gather_move(u32 pe, std::size_t ridx) {
   if (slot.epoch != cycle_ || slot.state != MoveState::Yes) return false;
   const std::size_t ck = layout_.reg_color_key(key);
   ActiveRule& ar = active_rule_[ck];
-  moves_.push_back({{reg_value_[key], ar.color}, pe, ar.forward});
-  clear_register(pe, ridx);
+  places_.push_back({pe, reg_value_[key], ar.color, ar.forward});
+  reg_set_[key] = 0;
+  WSR_ASSERT(occupied_regs_[pe] > 0, "register occupancy underflow");
+  --occupied_regs_[pe];
+  if (use_occ_mask_[pe]) occ_mask_[pe] &= ~(u64{1} << ridx);
   WSR_ASSERT(ar.remaining > 0, "rule accounting underflow");
-  if (--ar.remaining == 0) {
-    // Retire: refresh the denormalized slot from the layout's rule arena.
-    const auto rules = layout_.rules(ck);
-    const u32 next = ++rule_active_[ck];
-    if (next < rules.size()) {
-      ar = {rules[next].color, static_cast<u8>(rules[next].accept),
-            rules[next].forward, 0, rules[next].count};
-    } else {
-      ar.accept = kNoActiveRule;
-    }
-    refresh_rule_fast(pe, ck);
-    sub_wake_color(pe, layout_.reg_ci(key));  // parked on the retired rule
-  }
+  if (--ar.remaining == 0) retire_rule(static_cast<u32>(key), ck);
   return true;
 }
 
-void FabricSim::execute_moves() {
-  for (const Move& m : moves_) {
-    for (u8 d = 0; d < kNumDirs; ++d) {
-      const Dir dd = static_cast<Dir>(d);
-      if (!mask_has(m.forward, dd)) continue;
-      if (dd == Dir::Ramp) {
-        const i8 ci = layout_.compact_color(m.pe, m.w.color);
-        down_[layout_.color_key(m.pe, static_cast<u32>(ci))].push(
-            {m.w, cycle_ + opt_.ramp_latency});
-        wake_processor(m.pe);
-        note_queue_pending(m.pe);
-      } else {
-        const u32 npe = layout_.neighbor(m.pe, d);
-        const i8 nci = layout_.compact_color(npe, m.w.color);
-        const std::size_t ridx = std::size_t{static_cast<u32>(opposite(dd))} *
-                                     layout_.num_colors(npe) +
-                                 static_cast<u32>(nci);
-        WSR_ASSERT(!reg_set_[layout_.reg_base(npe) + ridx],
-                   "register collision");
-        set_register(npe, ridx, m.w.value);
-        ++hops_;
-      }
-    }
-  }
-}
-
-bool FabricSim::router_step(const std::vector<u32>& pes) {
-  // Resolution order is claim-arbitration order, so iteration must always be
-  // ascending PE id (the caller sorts the worklist snapshot), and ascending
-  // register index within a PE (== the (dir, color) scan order; the
-  // occupancy-bitmask iteration preserves it).
-  for (u32 pe : pes) {
+bool FabricSim::router_step_fullscan() {
+  // Resolution order is claim-arbitration order: ascending PE id, and
+  // ascending register index within a PE (== the (dir, color) scan order;
+  // the occupancy-bitmask iteration preserves it).
+  const u32 n = layout_.num_pes();
+  for (u32 pe = 0; pe < n; ++pe) {
     if (occupied_regs_[pe] == 0) continue;
     const u32 num_colors = layout_.num_colors(pe);
     const std::size_t base = layout_.reg_base(pe);
@@ -883,9 +583,9 @@ bool FabricSim::router_step(const std::vector<u32>& pes) {
   }
 
   // Gather all moves, clear sources and account rules, then place copies.
-  moves_.clear();
+  places_.clear();
   bool changed = false;
-  for (u32 pe : pes) {
+  for (u32 pe = 0; pe < n; ++pe) {
     if (occupied_regs_[pe] == 0) continue;
     if (use_occ_mask_[pe]) {
       // Snapshot: gather clears bits as it consumes registers.
@@ -900,74 +600,19 @@ bool FabricSim::router_step(const std::vector<u32>& pes) {
       }
     }
   }
-  execute_moves();
+  for (const PendingPlace& p : places_) place_move(p);
   return changed;
 }
 
-bool FabricSim::router_step_subscription() {
-  // Consume the pending set and close over the register-clear waiter edges:
-  // if a register being attempted moves this cycle, everything parked behind
-  // it may move in the same cycle (stalled chains slide as a unit in one
-  // cycle — the movement-resolution recursion depends on it), so the whole
-  // woken cascade joins the attempt set up front. Registers that stay
-  // blocked simply re-park.
-  attempt_.clear();
-  attempt_.swap(pending_);
-  if (parked_count_ != 0) {  // pure streaming has no waiters to pull
-    for (std::size_t i = 0; i < attempt_.size(); ++i) {
-      i32& head = reg_waiter_head_[attempt_[i]];
-      if (head != -1) sub_wake_list(head, attempt_);
-    }
-  }
-  if (attempt_.empty()) return false;
-
-  // Claim arbitration is order-sensitive: ascending global register key is
-  // exactly the ascending-(pe, dir, color) scan order of the other modes.
-  // Steady streaming pends registers nearly in order, so the sort usually
-  // degenerates to the is_sorted check.
-  if (!std::is_sorted(attempt_.begin(), attempt_.end())) {
-    std::sort(attempt_.begin(), attempt_.end());
-  }
-  for (u32 key : attempt_) {
-    WSR_ASSERT(reg_set_[key], "woken register is empty");
-    if (move_[key].epoch != cycle_) {
-      resolve_move(layout_.pe_of_reg(key), layout_.reg_dir(key), key);
-    }
-  }
-  // Park the still-blocked registers on their recorded stall cause; movers
-  // leave tracking here (gather clears their registers below). Parking must
-  // complete before any gather: gathering retires rule quota, and the
-  // rule-advance wake it fires has to see every register parked on that
-  // color this cycle.
-  for (u32 key : attempt_) {
-    if (move_[key].state == MoveState::Yes) {
-      sub_state_[key] = kSubNone;
-    } else {
-      sub_park(key);
-    }
-  }
-  // Gather ascending (same order as the scan modes), then place copies.
-  moves_.clear();
-  bool changed = false;
-  for (u32 key : attempt_) {
-    if (move_[key].state == MoveState::Yes) {
-      const u32 pe = layout_.pe_of_reg(key);
-      changed |= gather_move(pe, key - layout_.reg_base(pe));
-    }
-  }
-  execute_moves();
-  return changed;
-}
-
-// --- vectorized / partitioned sweep machinery --------------------------------
-// Shared correctness argument (DESIGN.md §"Vectorized and tile-partitioned
-// stepping"): a *structural* No — rule accept mismatch, full ingress queue,
-// or a single-forward destination that is occupied and itself structurally
-// No — depends only on state that is stable for the whole router phase, and
-// resolve_move returns No for such a register under any claim state without
-// retaining a claim. Skipping those registers therefore leaves the claim
-// arbitration sequence of the surviving resolutions byte-for-byte identical
-// to the serial scan.
+// --- Simd engine -------------------------------------------------------------
+// Correctness argument (DESIGN.md §3 "The Simd stepping engine"): the walk
+// resolves the attempt closure in ascending register key — the serial
+// scan's claim-arbitration order — and every register it skips is either
+// parked on a stall cause that still holds or *structurally* No (rule
+// accept mismatch, or a ramp-only forward into a full ingress queue), which
+// resolve_move answers No under any claim state without retaining a claim.
+// Skipping those registers leaves the claim sequence of the resolutions
+// byte-for-byte identical to the full scan's.
 
 void FabricSim::refresh_rule_fast(u32 pe, std::size_t ck) {
   RuleFast f;
@@ -1009,161 +654,21 @@ void FabricSim::refresh_struct_ok(u32 pe, std::size_t ck) {
   const bool ramp_blocked =
       ar.forward == dir_bit(Dir::Ramp) &&
       down_[ck].size() >= opt_.ramp_latency + opt_.color_queue_capacity;
-  const bool partitioned = opt_.stepping == SteppingMode::Partitioned;
   for (u32 d = 0; d < kNumDirs; ++d) {
     const std::size_t key = base + std::size_t{d} * nc;
     const u64 bit = u64{1} << (key & 63);
-    const bool ok = ar.accept == d && !ramp_blocked;
-    if (partitioned) {
-      // Tiles own disjoint color keys but their registers can share a plane
-      // word; relaxed bit-disjoint RMWs keep the result deterministic.
-      std::atomic_ref<u64> w(struct_ok_[key >> 6]);
-      if (ok) {
-        w.fetch_or(bit, std::memory_order_relaxed);
-      } else {
-        w.fetch_and(~bit, std::memory_order_relaxed);
-      }
-    } else {
-      u64& w = struct_ok_[key >> 6];
-      w = ok ? (w | bit) : (w & ~bit);
-    }
+    u64& w = struct_ok_[key >> 6];
+    w = ar.accept == d && !ramp_blocked ? (w | bit) : (w & ~bit);
   }
-}
-
-u8 FabricSim::sweep_verdict(u32 key, u32* dest, TileState* tile) {
-  *dest = UINT32_MAX;
-  const u32 dir = layout_.reg_dir(key);
-  const std::size_t ck = layout_.reg_color_key(key);
-  const ActiveRule rule = active_rule_[ck];
-  if (rule.accept != dir) return 2;  // rule chain must advance first
-  if (mask_has(rule.forward, Dir::Ramp) &&
-      down_[ck].size() >= opt_.ramp_latency + opt_.color_queue_capacity) {
-    return 2;  // ingress queue full: only the processor can drain it
-  }
-  const RuleFast fast = rule_fast_[ck];
-  if (fast.dest != kNoFastRule) {
-    if (!reg_set_[fast.dest]) return 1;
-    const u32 dpe = layout_.pe_of_reg(fast.dest);
-    if (dpe < tile->pe_lo || dpe >= tile->pe_hi) {
-      // Occupied destination in a foreign tile: its verdict is being
-      // computed concurrently, so no deterministic read exists. Keep the
-      // register a survivor and raise the crossing flag (the resolution
-      // phase then runs serially this cycle).
-      tile->crossing = 1;
-      return 1;
-    }
-    *dest = fast.dest;
-    return 3;
-  }
-  {
-    // Multicast / ramp-forward rules skip chain propagation (they are a
-    // small minority), but the partitioned mode still has to know whether
-    // their resolution could recurse into a foreign tile.
-    const u32 pe = layout_.pe_of_reg(key);
-    for (u32 d = 0; d + 1 < kNumDirs; ++d) {  // mesh directions only
-      if (!mask_has(rule.forward, static_cast<Dir>(d))) continue;
-      const u32 npe = layout_.neighbor(pe, d);
-      if (npe == FabricLayout::kNoNeighbor ||
-          (npe >= tile->pe_lo && npe < tile->pe_hi)) {
-        continue;
-      }
-      const i8 nci = layout_.compact_color(npe, rule.color);
-      if (nci < 0) continue;
-      const u32 nreg = static_cast<u32>(opposite(static_cast<Dir>(d)));
-      if (reg_set_[layout_.reg_key(npe, nreg, static_cast<u32>(nci))]) {
-        tile->crossing = 1;
-        break;
-      }
-    }
-  }
-  return 1;
-}
-
-void FabricSim::propagate_no(const std::vector<u32>& cands,
-                             std::vector<u32>& dests) {
-  // Stalled chains are monotone in register key along each mesh axis, so a
-  // descending pass settles ascending-key chains in one sweep and vice
-  // versa; two rounds cover the 2D mixes that matter. Anything still
-  // undecided stays a survivor — resolve_move re-derives any verdict the
-  // sweep leaves open, so the cap is a performance bound, not a
-  // correctness one.
-  for (u32 pass = 0; pass < 4; ++pass) {
-    bool flipped = false;
-    if (pass % 2 == 0) {
-      for (std::size_t i = cands.size(); i-- > 0;) {
-        if (verdict_[cands[i]] == 3 && verdict_[dests[i]] == 2) {
-          verdict_[cands[i]] = 2;
-          flipped = true;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (verdict_[cands[i]] == 3 && verdict_[dests[i]] == 2) {
-          verdict_[cands[i]] = 2;
-          flipped = true;
-        }
-      }
-    }
-    if (!flipped) break;
-  }
-}
-
-bool FabricSim::resolve_candidate(u32 key) {
-  MoveSlot& slot = move_[key];
-  if (slot.epoch == cycle_) {  // settled by an earlier chain recursion
-    return slot.state == MoveState::Yes;
-  }
-  const std::size_t ck = layout_.reg_color_key(key);
-  const RuleFast fast = rule_fast_[ck];
-  if (fast.dest == kNoFastRule) {  // multicast / ramp / exhausted rule
-    return resolve_move(layout_.pe_of_reg(key), layout_.reg_dir(key), key);
-  }
-  // Inline fast path for the dominant case, an active single-mesh-forward
-  // rule: the exact check sequence, claim writes and cause records of
-  // resolve_move, minus the per-direction loop, the neighbour lookup and
-  // the color re-interning (all precomputed into the RuleFast slot).
-  const auto blocked = [&](StallCause cause, u32 payload) {
-    slot.epoch = cycle_;
-    slot.state = MoveState::No;
-    slot.cause_kind = static_cast<u8>(cause);
-    slot.cause_payload = payload;
-    return false;
-  };
-  if (active_rule_[ck].accept != layout_.reg_dir(key)) {
-    return blocked(StallCause::ColorEvent, static_cast<u32>(ck));
-  }
-  if (link_claim_epoch_[fast.link] == cycle_) {
-    return blocked(StallCause::Transient, 0);  // lost this cycle's link slot
-  }
-  if (reg_set_[fast.dest]) {
-    const MoveSlot& d = move_[fast.dest];
-    if (d.epoch != cycle_ || d.state == MoveState::Unknown) {
-      // Unresolved occupied destination: the chain recursion must resolve
-      // it depth-first, in this key's arbitration position.
-      return resolve_move(layout_.pe_of_reg(key), layout_.reg_dir(key), key);
-    }
-    if (d.state != MoveState::Yes) {  // No, or InProgress (a chain cycle)
-      return blocked(StallCause::Register, fast.dest);
-    }
-    // Yes: the destination vacates this cycle; fall through to claim it.
-  }
-  if (reg_claim_epoch_[fast.dest] == cycle_) {
-    return blocked(StallCause::Transient, 0);  // another color claimed it
-  }
-  reg_claim_epoch_[fast.dest] = cycle_;
-  link_claim_epoch_[fast.link] = cycle_;
-  slot.epoch = cycle_;
-  slot.state = MoveState::Yes;
-  return true;
 }
 
 bool FabricSim::resolve_chain(u32 key) {
-  // Iterative replay of the resolve_candidate -> resolve_move recursion for
-  // runs of active single-mesh-forward rules: each frame costs the inline
-  // fast-path checks only, where the recursive trace pays resolve_move's
-  // per-direction loop, neighbour lookup and color re-interning per chain
-  // link. Every slot/claim write below is the one the recursion makes for
-  // the same key, in the same order.
+  // Iterative replay of the resolve_move recursion for runs of active
+  // single-mesh-forward rules: each frame costs the inline fast-path checks
+  // only, where the recursive trace pays resolve_move's per-direction loop,
+  // neighbour lookup and color re-interning per chain link. Every
+  // slot/claim/pacing write below is the one the recursion makes for the
+  // same key, in the same order.
   chain_stack_.clear();
   u32 k = key;
   bool result;
@@ -1197,6 +702,11 @@ bool FabricSim::resolve_chain(u32 key) {
       result = false;
       break;
     }
+    if (degraded_ && cycle_ < link_next_free_[fast.link]) {
+      blocked(StallCause::Transient, 0);  // throttled link still recovering
+      result = false;
+      break;
+    }
     if (reg_set_[fast.dest]) {
       const MoveSlot& d = move_[fast.dest];
       if (d.epoch != cycle_ || d.state == MoveState::Unknown) {
@@ -1223,13 +733,15 @@ bool FabricSim::resolve_chain(u32 key) {
     }
     reg_claim_epoch_[fast.dest] = cycle_;
     link_claim_epoch_[fast.link] = cycle_;
+    if (degraded_) link_next_free_[fast.link] = cycle_ + link_slow_[fast.link];
     slot.epoch = cycle_;
     slot.state = MoveState::Yes;
     result = true;
     break;
   }
   // Unwind: every stacked frame is InProgress and single-forward; its
-  // outcome is its destination's outcome plus the deferred claim checks.
+  // outcome is its destination's outcome plus the deferred claim checks
+  // (its link and pacing checks passed before it descended).
   while (!chain_stack_.empty()) {
     const u32 kk = chain_stack_.back();
     chain_stack_.pop_back();
@@ -1249,45 +761,10 @@ bool FabricSim::resolve_chain(u32 key) {
     }
     reg_claim_epoch_[fast.dest] = cycle_;
     link_claim_epoch_[fast.link] = cycle_;
+    if (degraded_) link_next_free_[fast.link] = cycle_ + link_slow_[fast.link];
     slot.state = MoveState::Yes;
   }
   return result;
-}
-
-void FabricSim::gather_capture(u32 key, std::vector<PendingPlace>& places) {
-  const std::size_t ck = layout_.reg_color_key(key);
-  ActiveRule& ar = active_rule_[ck];
-  const RuleFast fast = rule_fast_[ck];  // pre-retirement rule snapshot
-  // PendingPlace::pe is only read on the general placement path, so the
-  // owner lookup is skipped whenever the fast descriptor will place.
-  places.push_back({fast.dest == kNoFastRule ? layout_.pe_of_reg(key) : 0,
-                    reg_value_[key], ar.color, ar.forward, fast});
-  if (subscribed_) {
-    // Key-based clear: the PE-indexed occupancy upkeep is gated off under
-    // the subscription engines, so only the occupancy bit, the waiter
-    // drain and the up-ramp unpark remain — none need (pe, ridx).
-    reg_set_[key] = 0;
-    i32& head = reg_waiter_head_[key];
-    if (head != -1) {
-      if (simd_) {
-        sub_wake_plane(head);
-      } else {
-        sub_wake_list(head, pending_);
-      }
-    }
-    if (layout_.reg_dir(key) == static_cast<u32>(Dir::Ramp)) {
-      const u32 pe = layout_.pe_of_reg(key);
-      if (up_parked_[pe]) {
-        up_parked_[pe] = 0;
-        note_up_pending(pe);
-      }
-    }
-  } else {
-    const u32 pe = layout_.pe_of_reg(key);
-    clear_register(pe, key - layout_.reg_base(pe));
-  }
-  WSR_ASSERT(ar.remaining > 0, "rule accounting underflow");
-  if (--ar.remaining == 0) retire_rule(key, ck);
 }
 
 void FabricSim::retire_rule(u32 key, std::size_t ck) {
@@ -1301,33 +778,12 @@ void FabricSim::retire_rule(u32 key, std::size_t ck) {
   } else {
     ar.accept = kNoActiveRule;
   }
+  if (!simd_) return;
   refresh_rule_fast(pe, ck);
   sub_wake_color(pe, layout_.reg_ci(key));  // parked on the retired rule
 }
 
-void FabricSim::place_move(const PendingPlace& p, TileState* tile) {
-  if (p.fast.dest != kNoFastRule) {
-    if (tile != nullptr) {
-      const u32 npe = layout_.pe_of_reg(p.fast.dest);
-      ++tile->local_hops;
-      if (npe < tile->pe_lo || npe >= tile->pe_hi) {
-        tile->outbox.push_back({p.fast.dest, p.value});
-        return;
-      }
-      WSR_ASSERT(!reg_set_[p.fast.dest], "register collision");
-      set_register(npe, p.fast.dest - layout_.reg_base(npe), p.value);
-      return;
-    }
-    // Vectorized: write the destination by key — set_register's PE-indexed
-    // bookkeeping is all gated off under the subscription engines, so only
-    // the value, the occupancy bit and the pend remain.
-    ++hops_;
-    WSR_ASSERT(!reg_set_[p.fast.dest], "register collision");
-    reg_value_[p.fast.dest] = p.value;
-    reg_set_[p.fast.dest] = 1;
-    sub_pend(p.fast.dest);
-    return;
-  }
+void FabricSim::place_move(const PendingPlace& p) {
   for (u8 d = 0; d < kNumDirs; ++d) {
     const Dir dd = static_cast<Dir>(d);
     if (!mask_has(p.forward, dd)) continue;
@@ -1335,142 +791,49 @@ void FabricSim::place_move(const PendingPlace& p, TileState* tile) {
       const i8 ci = layout_.compact_color(p.pe, p.color);
       const std::size_t ck = layout_.color_key(p.pe, static_cast<u32>(ci));
       down_[ck].push({{p.value, p.color}, cycle_ + opt_.ramp_latency});
-      // The push may fill the ingress queue, flipping the color's registers
-      // to structurally No for the next sweep.
-      if (planes_) refresh_struct_ok(p.pe, ck);
-      wake_processor(p.pe);
-      note_queue_pending(p.pe);
+      if (simd_) {
+        // The push may fill the ingress queue, flipping the color's
+        // registers to structurally No for the next walk.
+        refresh_struct_ok(p.pe, ck);
+        wake_processor(p.pe);
+        note_queue_pending(p.pe);
+      }
     } else {
       const u32 npe = layout_.neighbor(p.pe, d);
       const i8 nci = layout_.compact_color(npe, p.color);
       const std::size_t ridx = std::size_t{static_cast<u32>(opposite(dd))} *
                                    layout_.num_colors(npe) +
                                static_cast<u32>(nci);
-      const std::size_t nkey = layout_.reg_base(npe) + ridx;
-      if (tile != nullptr) {
-        ++tile->local_hops;
-        if (npe < tile->pe_lo || npe >= tile->pe_hi) {
-          tile->outbox.push_back({static_cast<u32>(nkey), p.value});
-          continue;
-        }
-      } else {
-        ++hops_;
-      }
-      WSR_ASSERT(!reg_set_[nkey], "register collision");
+      WSR_ASSERT(!reg_set_[layout_.reg_base(npe) + ridx],
+                 "register collision");
       set_register(npe, ridx, p.value);
+      ++hops_;
     }
   }
 }
-
-bool FabricSim::router_step_vectorized() {
-  // Same candidate tracking as the subscription engine (pending set plus
-  // the woken-waiter closure), but the per-register recursive resolve loop
-  // is replaced by flat sweep passes with claims applied ascending.
-  attempt_.clear();
-  attempt_.swap(pending_);
-  if (parked_count_ != 0) {
-    for (std::size_t i = 0; i < attempt_.size(); ++i) {
-      i32& head = reg_waiter_head_[attempt_[i]];
-      if (head != -1) sub_wake_list(head, attempt_);
-    }
-  }
-  if (attempt_.empty()) return false;
-  if (!std::is_sorted(attempt_.begin(), attempt_.end())) {
-    std::sort(attempt_.begin(), attempt_.end());
-  }
-
-  // Single ascending resolve pass: every candidate settles fully at its
-  // arbitration position (inline fast path or the recursive fallback), so
-  // the claim sequence is byte-for-byte the serial scan's. A register a
-  // chain recursion already settled contributes its memoized verdict.
-  // (Parking soundness guarantees any register that can move this cycle is
-  // in the closure, so Yes ⊆ attempt_ and survivors_ is complete.)
-  // Each candidate also parks (or leaves tracking) right at its position:
-  // parking only appends to waiter lists, which nothing reads until the
-  // gather phase clears registers, so in-loop parking is behaviourally
-  // identical to the subscription engine's separate park pass — and all
-  // parks still land before the first gather, as rule-advance wakes
-  // require.
-  survivors_.clear();
-  for (u32 key : attempt_) {
-    WSR_ASSERT(reg_set_[key], "woken register is empty");
-    if (resolve_candidate(key)) {
-      sub_state_[key] = kSubNone;
-      survivors_.push_back(key);
-    } else {
-      sub_park(key);
-    }
-  }
-
-  // Gather (clear every source, retire quota) then place: a chained
-  // forward's destination is another mover's source, so all clears must
-  // land before any placement.
-  places_.clear();
-  for (u32 key : survivors_) gather_capture(key, places_);
-  for (const PendingPlace& p : places_) place_move(p, nullptr);
-  return !places_.empty();
-}
-
-namespace {
-// Word-scan kernels behind the WSR_FABRIC_SIMD runtime dispatch: collect the
-// indices of every word in [lo, hi] with any bit set, in ascending order,
-// into `out` (sized for the whole plane). One batched call per plane walk —
-// a per-word call into a target("avx2") function cannot inline and costs
-// more than the scan itself. Both kernels return identical results; the
-// choice is wall-time only.
-inline u32 collect_nonzero_words_swar(const u64* words, u32 lo, u32 hi,
-                                      u32* out) {
-  u32 n = 0;
-  for (u32 wi = lo; wi <= hi; ++wi) {
-    if (words[wi] != 0) out[n++] = wi;
-  }
-  return n;
-}
-
-#if defined(__x86_64__)
-__attribute__((target("avx2"))) u32 collect_nonzero_words_avx2(
-    const u64* words, u32 lo, u32 hi, u32* out) {
-  // Reject all-zero quads with one testz; only hit quads pay the per-word
-  // check.
-  u32 n = 0;
-  u32 wi = lo;
-  for (; wi + 3 <= hi; wi += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + wi));
-    if (_mm256_testz_si256(v, v)) continue;
-    for (u32 j = wi; j < wi + 4; ++j) {
-      if (words[j] != 0) out[n++] = j;
-    }
-  }
-  for (; wi <= hi; ++wi) {
-    if (words[wi] != 0) out[n++] = wi;
-  }
-  return n;
-}
-#endif
-}  // namespace
 
 // flatten: the per-candidate helpers (resolve_chain, sub_park,
 // sub_wake_plane) run tens of millions of times per mover-dense run; the
 // call overhead alone is ~10% of the walk. GCC does not inline them at -O2
 // without the nudge.
 __attribute__((flatten)) bool FabricSim::router_step_simd() {
-  // The vectorized engine's candidate tracking, repacked into bitmask
-  // planes: the pending/attempt swap is O(1), bit order is key order (so
-  // the ascending claim-arbitration walk needs no sort), and the
-  // structural-No pre-pass rejects 64 registers per AND-NOT. Every state
-  // mutation below is the one router_step_vectorized would make for the
-  // same key, in an order the serial scan cannot distinguish — parity is
-  // pinned by tests/test_fabric_worklist_parity.cpp.
+  // Candidate tracking in bitmask planes: the pending/attempt swap is O(1),
+  // bit order is key order (so the ascending claim-arbitration walk needs
+  // no sort), and the structural-No pre-pass rejects 64 registers per
+  // AND-NOT. Every state mutation below happens in an order the full scan
+  // cannot distinguish — parity is pinned by tests/test_fabric_parity.cpp.
   std::swap(pend_plane_, att_plane_);
   if (att_plane_.empty()) return false;
   u64* att = att_plane_.words.data();
   u32* wlist = word_scratch_.data();
-  const auto collect = [&](const u64* words, u32 lo, u32 hi) {
-#if defined(__x86_64__)
-    if (use_avx2_) return collect_nonzero_words_avx2(words, lo, hi, wlist);
-#endif
-    return collect_nonzero_words_swar(words, lo, hi, wlist);
+  // Writes the indices of the attempt plane's nonzero words within its
+  // dirty range to wlist, ascending; returns how many.
+  const auto collect = [&] {
+    u32 n = 0;
+    for (u32 wi = att_plane_.lo; wi <= att_plane_.hi; ++wi) {
+      if (att[wi] != 0) wlist[n++] = wi;
+    }
+    return n;
   };
 
   // Close over the register-clear waiter edges (stalled chains slide as a
@@ -1480,7 +843,7 @@ __attribute__((flatten)) bool FabricSim::router_step_simd() {
   // drain order never matters.
   if (parked_count_ != 0) {
     wake_stack_.clear();
-    const u32 nseed = collect(att, att_plane_.lo, att_plane_.hi);
+    const u32 nseed = collect();
     for (u32 i = 0; i < nseed; ++i) {
       const u32 wi = wlist[i];
       for (u64 m = att[wi]; m != 0; m &= m - 1) {
@@ -1501,7 +864,7 @@ __attribute__((flatten)) bool FabricSim::router_step_simd() {
   // registers with plain stores (their serial resolution is {No, ColorEvent,
   // ck} with zero claims and zero recursion — refresh_struct_ok), then the
   // surviving candidates resolve at their arbitration position exactly like
-  // the vectorized scan. Settling a word's structural-Nos before its
+  // the full scan. Settling a word's structural-Nos before its
   // candidates is unobservable: they never claim, and a candidate whose
   // chain destination is one of them reads the identical memoized verdict
   // the serial recursion would have written.
@@ -1510,7 +873,7 @@ __attribute__((flatten)) bool FabricSim::router_step_simd() {
   // Re-collect: the closure may have dirtied words before (or after) the
   // seed range. Nothing below writes att_plane_ (wakes land in pend_plane_),
   // so the collected list stays exact through the walk.
-  const u32 nw = collect(att, att_plane_.lo, att_plane_.hi);
+  const u32 nw = collect();
   for (u32 i = 0; i < nw; ++i) {
     const u32 wi = wlist[i];
     const u64 w = att[wi];
@@ -1551,10 +914,10 @@ __attribute__((flatten)) bool FabricSim::router_step_simd() {
 
   // Gather every winner (clear sources, retire quota) before placing any
   // copy — the clear-before-place contract chained forwards rely on.
-  // Inlined gather_capture, specialized: fast-descriptor movers (the
-  // streaming majority) record an 8-byte (dest, value) pair instead of a
-  // PendingPlace, and the waiter-list probe is skipped outright while
-  // nothing is parked (empty lists are an invariant of parked_count_ == 0).
+  // Fast-descriptor movers (the streaming majority) record an 8-byte
+  // (dest, value) pair instead of a PendingPlace, and the waiter-list probe
+  // is skipped outright while nothing is parked (empty lists are an
+  // invariant of parked_count_ == 0).
   if (survivors_.empty()) return false;
   places_.clear();
   fast_places_.clear();
@@ -1566,8 +929,7 @@ __attribute__((flatten)) bool FabricSim::router_step_simd() {
       fast_places_.emplace_back(fast.dest, reg_value_[key]);
     } else {
       places_.push_back(
-          {layout_.pe_of_reg(key), reg_value_[key], ar.color, ar.forward,
-           fast});
+          {layout_.pe_of_reg(key), reg_value_[key], ar.color, ar.forward});
     }
     reg_set_[key] = 0;
     if (parked_count_ != 0) {
@@ -1599,160 +961,8 @@ __attribute__((flatten)) bool FabricSim::router_step_simd() {
     sub_state_[dest] = kSubPending;
     pend_plane_.set(dest);
   }
-  for (const PendingPlace& p : places_) place_move(p, nullptr);
+  for (const PendingPlace& p : places_) place_move(p);
   return true;
-}
-
-// --- partitioned per-tile phases ---------------------------------------------
-
-void FabricSim::tile_pe_phase(u32 ti) {
-  TileState& t = tiles_[ti];
-  bool changed = false;
-  while (!t.wake_heap.empty() && t.wake_heap.front().first <= cycle_) {
-    std::pop_heap(t.wake_heap.begin(), t.wake_heap.end(), std::greater<>());
-    wake_processor(t.wake_heap.back().second);
-    t.wake_heap.pop_back();
-  }
-  t.scratch.clear();
-  t.scratch.swap(t.proc_list);
-  for (u32 pe : t.scratch) in_proc_list_[pe] = 0;
-  for (u32 pe : t.scratch) changed |= step_processor(pe);
-  t.scratch.clear();
-  t.scratch.swap(t.up_list);
-  for (u32 pe : t.scratch) in_up_list_[pe] = 0;
-  for (u32 pe : t.scratch) changed |= step_up_ramp(pe);
-  t.changed = changed ? 1 : 0;
-}
-
-void FabricSim::tile_sweep_phase(u32 ti) {
-  TileState& t = tiles_[ti];
-  t.router_scratch.clear();
-  t.router_scratch.swap(t.router_list);
-  for (u32 pe : t.router_scratch) in_router_list_[pe] = 0;
-  std::sort(t.router_scratch.begin(), t.router_scratch.end());
-  t.cand.clear();
-  t.cand_dest.clear();
-  t.survivors.clear();
-  t.crossing = 0;
-  for (u32 pe : t.router_scratch) {
-    if (occupied_regs_[pe] == 0) continue;
-    const std::size_t base = layout_.reg_base(pe);
-    if (use_occ_mask_[pe]) {
-      for (u64 m = occ_mask_[pe]; m != 0; m &= m - 1) {
-        t.cand.push_back(
-            static_cast<u32>(base + static_cast<u32>(std::countr_zero(m))));
-      }
-    } else {
-      const std::size_t num_regs = layout_.num_regs(pe);
-      for (std::size_t ridx = 0; ridx < num_regs; ++ridx) {
-        if (reg_set_[base + ridx]) {
-          t.cand.push_back(static_cast<u32>(base + ridx));
-        }
-      }
-    }
-  }
-  for (u32 key : t.cand) {
-    u32 dest = UINT32_MAX;
-    // Shared structural-No plane as a pre-filter: a cleared bit already
-    // proves verdict 2, skipping the rule/queue loads of sweep_verdict.
-    // (The plane is narrower than the sweep's own checks, so passing bits
-    // still take the full verdict.) Reads race nothing: every plane write
-    // happens in the pe/gather phases, barrier-separated from this sweep.
-    if ((struct_ok_[key >> 6] >> (key & 63) & 1) == 0) {
-      verdict_[key] = 2;
-      t.cand_dest.push_back(dest);
-      continue;
-    }
-    verdict_[key] = sweep_verdict(key, &dest, &t);
-    t.cand_dest.push_back(dest);
-  }
-  propagate_no(t.cand, t.cand_dest);
-  for (u32 key : t.cand) {
-    if (verdict_[key] != 2) t.survivors.push_back(key);
-  }
-}
-
-void FabricSim::tile_resolve(u32 ti) {
-  for (u32 key : tiles_[ti].survivors) resolve_candidate(key);
-}
-
-void FabricSim::tile_gather(u32 ti) {
-  TileState& t = tiles_[ti];
-  t.outbox.clear();
-  t.places.clear();
-  for (u32 key : t.cand) verdict_[key] = 0;
-  // Capture + clear every Yes source in the tile before placing any of the
-  // tile's moves (chained forwards target other movers' sources). Foreign
-  // sources are cleared by their own tile this same phase; placements into
-  // them ride the outbox and land after the barrier.
-  for (u32 key : t.survivors) {
-    const MoveSlot& slot = move_[key];
-    if (slot.epoch == cycle_ && slot.state == MoveState::Yes) {
-      gather_capture(key, t.places);
-      t.changed = 1;
-    }
-  }
-  for (const PendingPlace& p : t.places) place_move(p, &t);
-}
-
-void FabricSim::tile_inbox(u32 ti) {
-  TileState& t = tiles_[ti];
-  // Deterministic merge: every tile scans the outboxes in ascending tile
-  // order and applies only the placements destined for itself. The entries
-  // target disjoint registers (their claims were unique at resolution), so
-  // tiles apply disjoint writes in a fixed order.
-  for (const TileState& s : tiles_) {
-    for (const TileState::Outbound& o : s.outbox) {
-      const u32 npe = layout_.pe_of_reg(o.key);
-      if (npe < t.pe_lo || npe >= t.pe_hi) continue;
-      WSR_ASSERT(!reg_set_[o.key], "register collision");
-      set_register(npe, o.key - layout_.reg_base(npe), o.value);
-    }
-  }
-  // Worklist semantics: PEs whose registers stay occupied re-enter the
-  // tile's router list (set_register already listed fresh arrivals).
-  for (u32 pe : t.router_scratch) {
-    if (occupied_regs_[pe] != 0 && !in_router_list_[pe]) {
-      in_router_list_[pe] = 1;
-      t.router_list.push_back(pe);
-    }
-  }
-}
-
-bool FabricSim::partitioned_cycle() {
-  const std::size_t nt = tiles_.size();
-  auto pe_phase = [this](std::size_t ti) {
-    tile_pe_phase(static_cast<u32>(ti));
-  };
-  pool_->run(nt, pe_phase);
-  auto sweep = [this](std::size_t ti) {
-    tile_sweep_phase(static_cast<u32>(ti));
-  };
-  pool_->run(nt, sweep);
-  bool crossing = false;
-  for (const TileState& t : tiles_) crossing |= t.crossing != 0;
-  if (crossing) {
-    // A stalled chain reaches across a tile edge: per-tile resolution could
-    // recurse into a foreign tile mid-flight. Resolve this cycle serially
-    // in global ascending order — per-tile ascending survivor lists
-    // concatenated in tile order are exactly that.
-    for (TileState& t : tiles_) {
-      for (u32 key : t.survivors) resolve_candidate(key);
-    }
-  } else {
-    auto resolve = [this](std::size_t ti) { tile_resolve(static_cast<u32>(ti)); };
-    pool_->run(nt, resolve);
-  }
-  auto gather = [this](std::size_t ti) { tile_gather(static_cast<u32>(ti)); };
-  pool_->run(nt, gather);
-  auto inbox = [this](std::size_t ti) { tile_inbox(static_cast<u32>(ti)); };
-  pool_->run(nt, inbox);
-  bool changed = false;
-  for (TileState& t : tiles_) {
-    changed |= t.changed != 0;
-    t.changed = 0;
-  }
-  return changed;
 }
 
 i64 FabricSim::scan_next_ready() {
@@ -1768,7 +978,7 @@ i64 FabricSim::scan_next_ready() {
       }
     }
   }
-  if (opt_.stepping == SteppingMode::FullScan) {
+  if (!simd_) {
     for (const WaveletFifo& q : down_) {
       if (!q.empty()) next_ready = std::min(next_ready, q.front().ready);
     }
@@ -1777,65 +987,45 @@ i64 FabricSim::scan_next_ready() {
     }
     return next_ready;
   }
-  // Worklist / subscription / tiles: only PEs with in-flight ramp traffic
-  // can own a timed event; compact the conservative membership list as
-  // queues drain. This only runs on idle cycles, so the partitioned mode
-  // walks its tile lists serially.
-  const auto scan_list = [&](std::vector<u32>& list) {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      const u32 pe = list[i];
-      bool any = !up_[pe].empty();
-      if (!up_[pe].empty()) {
-        next_ready = std::min(next_ready, up_[pe].front().ready);
-      }
-      const std::size_t ck_end =
-          layout_.color_base(pe) + layout_.num_colors(pe);
-      for (std::size_t ck = layout_.color_base(pe); ck < ck_end; ++ck) {
-        if (!down_[ck].empty()) {
-          any = true;
-          next_ready = std::min(next_ready, down_[ck].front().ready);
-        }
-      }
-      if (any) {
-        list[keep++] = pe;
-      } else {
-        in_queue_list_[pe] = 0;
+  // Simd: only PEs with in-flight ramp traffic can own a timed event;
+  // compact the conservative membership list as queues drain. This only
+  // runs on idle cycles.
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < queue_list_.size(); ++i) {
+    const u32 pe = queue_list_[i];
+    bool any = !up_[pe].empty();
+    if (any) next_ready = std::min(next_ready, up_[pe].front().ready);
+    const std::size_t ck_end = layout_.color_base(pe) + layout_.num_colors(pe);
+    for (std::size_t ck = layout_.color_base(pe); ck < ck_end; ++ck) {
+      if (!down_[ck].empty()) {
+        any = true;
+        next_ready = std::min(next_ready, down_[ck].front().ready);
       }
     }
-    list.resize(keep);
-  };
-  if (opt_.stepping == SteppingMode::Partitioned) {
-    for (TileState& t : tiles_) scan_list(t.queue_list);
-  } else {
-    scan_list(queue_list_);
+    if (any) {
+      queue_list_[keep++] = pe;
+    } else {
+      in_queue_list_[pe] = 0;
+    }
   }
+  queue_list_.resize(keep);
   return next_ready;
 }
 
 FabricResult FabricSim::run() {
   const u32 n = layout_.num_pes();
-  const SteppingMode mode = opt_.stepping;
-  std::vector<u32> all_pes;
-  if (mode == SteppingMode::FullScan) {
-    all_pes.resize(n);
-    for (u32 pe = 0; pe < n; ++pe) all_pes[pe] = pe;
-  } else {
-    // Everything with a program is initially runnable.
-    for (u32 pe = 0; pe < n; ++pe) {
-      if (!done_[pe]) wake_processor(pe);
-    }
+  // Everything with a program is initially runnable.
+  for (u32 pe = 0; pe < n; ++pe) {
+    if (!done_[pe]) wake_processor(pe);
   }
 
   i64 idle_cycles = 0;
   for (cycle_ = 0; cycle_ < opt_.max_cycles; ++cycle_) {
     bool changed = false;
-    if (mode == SteppingMode::FullScan) {
+    if (!simd_) {
       for (u32 pe = 0; pe < n; ++pe) changed |= step_processor(pe);
       for (u32 pe = 0; pe < n; ++pe) changed |= step_up_ramp(pe);
-      changed |= router_step(all_pes);
-    } else if (mode == SteppingMode::Partitioned) {
-      changed = partitioned_cycle();
+      changed |= router_step_fullscan();
     } else {
       // Timed wake-ups whose cycle has arrived re-enter the processor list.
       while (!wake_heap_.empty() && wake_heap_.front().first <= cycle_) {
@@ -1843,7 +1033,7 @@ FabricResult FabricSim::run() {
         wake_processor(wake_heap_.back().second);
         wake_heap_.pop_back();
       }
-      // Paced up-ramps whose front wavelet is now ready (Simd mode).
+      // Paced up-ramps whose front wavelet is now ready.
       while (!ramp_heap_.empty() && ramp_heap_.front().first <= cycle_) {
         std::pop_heap(ramp_heap_.begin(), ramp_heap_.end(), std::greater<>());
         note_up_pending(ramp_heap_.back().second);
@@ -1863,30 +1053,10 @@ FabricResult FabricSim::run() {
       for (u32 pe : scratch_) in_up_list_[pe] = 0;
       for (u32 pe : scratch_) changed |= step_up_ramp(pe);
 
-      if (mode == SteppingMode::Subscription) {
-        changed |= router_step_subscription();
-      } else if (mode == SteppingMode::Vectorized) {
-        changed |= router_step_vectorized();
-      } else if (mode == SteppingMode::Simd) {
-        changed |= router_step_simd();
-      } else {
-        // Routers: snapshot must be sorted (claim arbitration is
-        // order-sensitive); re-add PEs whose registers stay occupied.
-        router_scratch_.clear();
-        router_scratch_.swap(router_list_);
-        for (u32 pe : router_scratch_) in_router_list_[pe] = 0;
-        std::sort(router_scratch_.begin(), router_scratch_.end());
-        changed |= router_step(router_scratch_);
-        for (u32 pe : router_scratch_) {
-          if (occupied_regs_[pe] != 0 && !in_router_list_[pe]) {
-            in_router_list_[pe] = 1;
-            router_list_.push_back(pe);
-          }
-        }
-      }
+      changed |= router_step_simd();
     }
 
-    if (done_count_.load(std::memory_order_relaxed) == n) break;
+    if (done_count_ == n) break;
 
     if (changed) {
       idle_cycles = 0;
@@ -1922,7 +1092,6 @@ FabricResult FabricSim::run() {
 
   FabricResult res;
   res.wavelet_hops = hops_;
-  for (const TileState& t : tiles_) res.wavelet_hops += t.local_hops;
   res.memory.resize(n);
   res.op_done_cycle.resize(n);
   for (u32 pe = 0; pe < n; ++pe) {

@@ -36,50 +36,25 @@
 // that PE's own heap-allocated vectors, and the resolve path was
 // memory-latency-bound rather than compute-bound.
 //
-// Stepping modes (DESIGN.md §"Active-set FabricSim" and §"Stall-subscription
-// router engine"): three selectable modes execute the same per-PE step
-// bodies in the same order, so results are bit-identical — pinned by
-// tests/test_fabric_worklist_parity.cpp.
-//   * FullScan    — scan every PE every cycle (the original reference mode).
-//   * Worklist    — event-driven PE worklists; every occupied router
-//                   register is still re-resolved every cycle.
-//   * Subscription (default) — failed movement resolutions additionally park
-//                   the register on the precise resource they blocked on
-//                   (stalled downstream register, full ingress queue,
-//                   inactive routing rule); a state change of that resource
-//                   wakes exactly its subscribers.
-//   * Vectorized   — subscription's candidate tracking, but the per-register
-//                   recursive resolve/park loop is replaced by branchless
-//                   sweep passes over the flat verdict/active-rule arrays:
-//                   a lane-wide structural-No verdict pass, bounded No
-//                   propagation along stalled chains, then claims and wakes
-//                   applied in ascending-key order (DESIGN.md §"Vectorized
-//                   and tile-partitioned stepping").
-//   * Partitioned  — multi-threaded: the wafer is split into contiguous
-//                   spatial tiles (layout_.make_tiles), each stepped by the
-//                   persistent pool in common/parallel.hpp with per-tile
-//                   worklists; boundary-link traffic crosses tiles through
-//                   per-tile handoff outboxes merged in deterministic tile
-//                   order, so any thread count is bit-identical.
-//   * Simd         — vectorized's candidate tracking repacked into 64-bit
-//                   bitmask planes over the flat register key space
-//                   (candidate, structural-No, claim-won); the structural-No
-//                   pre-pass and the ascending resolve/gather walks evaluate
-//                   64 registers per AND/ANDN/ctz iteration, with an
-//                   optional AVX2 word-scan behind WSR_FABRIC_SIMD runtime
-//                   dispatch (DESIGN.md §"SIMD sweep").
+// Stepping modes (DESIGN.md §3 "The Simd stepping engine"): both modes
+// execute the same per-PE step bodies in the same claim-arbitration order,
+// so results are bit-identical — pinned by tests/test_fabric_parity.cpp.
+//   * FullScan — scan every PE and every occupied register every cycle:
+//                the reference oracle the parity suite compares against.
+//   * Simd     — the production engine (default): event-driven processor
+//                and up-ramp lists, blocked router registers parked on the
+//                resource they stalled on, and 64-bit bitmask planes over
+//                the flat register key space (candidate, structural-No)
+//                walked 64 registers per AND/ANDN/ctz iteration. Throttled
+//                links are paced in place, like FullScan paces them.
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
 #include "common/grid.hpp"
 #include "common/lazy_fifo.hpp"
 #include "common/link_override.hpp"
-#include "common/parallel.hpp"
 #include "common/types.hpp"
 #include "wse/layout.hpp"
 #include "wse/schedule.hpp"
@@ -87,104 +62,27 @@
 namespace wsr::wse {
 
 /// How FabricSim decides which PEs / router registers to step each cycle.
-/// All modes are bit-identical in every observable output; they differ only
+/// Both modes are bit-identical in every observable output; they differ only
 /// in how much work a cycle costs (see DESIGN.md §3).
 enum class SteppingMode : u8 {
-  FullScan,      ///< scan every PE every cycle (reference).
-  Worklist,      ///< active-set worklists; occupied registers re-resolved
-                 ///< every cycle (PR 2 behaviour).
-  Subscription,  ///< stall-cause subscriptions: blocked registers wait on
-                 ///< the resource they stalled on (default).
-  Vectorized,    ///< subscription tracking + branchless sweep passes over
-                 ///< the flat verdict arrays; claims applied ascending.
-  Partitioned,   ///< spatial tiles stepped by a thread pool; boundary
-                 ///< traffic merged through deterministic handoff queues.
-  Simd,          ///< vectorized tracking over 64-register bitmask planes;
-                 ///< SWAR word walks with optional AVX2 runtime dispatch.
+  FullScan,  ///< scan every PE every cycle (the reference oracle).
+  Simd,      ///< event-driven bitmask-plane engine (the default).
 };
 
-/// Parses a WSR_FABRIC_STEPPING value ("fullscan" | "worklist" |
-/// "subscription" | "vectorized" | "partitioned" | "simd"); nullopt
-/// otherwise.
-std::optional<SteppingMode> parse_stepping_mode(std::string_view text);
-
-/// The canonical lowercase name of a stepping mode (the same spelling
-/// parse_stepping_mode accepts); used by `wsr_plan --json`, the bench
-/// report headers and the parity tests.
+/// The canonical lowercase name of a stepping mode ("fullscan" | "simd");
+/// reported as `fabric_stepping` by `wsr_plan --json`, wsrd and the bench
+/// reports, and used as the parity tests' labels.
 std::string_view stepping_mode_name(SteppingMode mode);
-
-/// Resolves a WSR_FABRIC_STEPPING environment value: the default mode when
-/// unset/empty, the parsed mode when valid, and a hard process exit (code
-/// 2, message listing the valid modes) otherwise — a typo'd A/B run must
-/// not silently measure the default. default_stepping_mode() memoizes one
-/// call per process; exposed separately so the rejection path is testable.
-SteppingMode stepping_mode_from_env_value(const char* env);
-
-/// The process-wide default stepping mode: Subscription, overridable once
-/// per process via the WSR_FABRIC_STEPPING environment variable (read on
-/// first use). An unrecognized value is a hard configuration error: the
-/// process exits with a message listing the valid modes, because a typo'd
-/// A/B run silently falling back to the default would invalidate exactly
-/// the comparison the variable exists for (docs/cli.md). Because the modes
-/// are bit-identical, the toggle changes wall time only. Call sites that
-/// pin a mode explicitly are unaffected.
-SteppingMode default_stepping_mode();
-
-/// How the Simd stepping mode scans its bitmask planes for nonzero words.
-/// The choice never changes results (the per-word bit processing is shared);
-/// it only selects the word-skipping kernel, so the toggle is a pure
-/// wall-time A/B knob like the stepping mode itself.
-enum class SimdDispatch : u8 {
-  Auto,  ///< AVX2 when the CPU supports it, SWAR otherwise (default).
-  Avx2,  ///< force the AVX2 kernel; exit 2 if the CPU lacks AVX2.
-  Swar,  ///< force the portable 64-bit scalar kernel.
-  Off,   ///< disable the Simd engine: Simd requests run Vectorized.
-};
-
-/// Parses a WSR_FABRIC_SIMD value ("auto" | "avx2" | "swar" | "off");
-/// nullopt otherwise.
-std::optional<SimdDispatch> parse_simd_dispatch(std::string_view text);
-
-/// The canonical lowercase name of a dispatch choice.
-std::string_view simd_dispatch_name(SimdDispatch d);
-
-/// Resolves a WSR_FABRIC_SIMD environment value: Auto when unset/empty, the
-/// parsed value when valid, and a hard process exit (code 2, listing the
-/// valid values) otherwise. Forcing avx2 on a CPU without AVX2 is the same
-/// hard configuration error — a forced-kernel A/B run silently falling back
-/// would invalidate the comparison. Exposed separately from
-/// default_simd_dispatch() so the rejection path is testable.
-SimdDispatch simd_dispatch_from_env_value(const char* env);
-
-/// The process-wide dispatch choice, read once from WSR_FABRIC_SIMD.
-SimdDispatch default_simd_dispatch();
-
-/// Process-wide default worker count for the partitioned mode: 0 (meaning
-/// hardware_jobs()), overridable once per process via WSR_FABRIC_THREADS.
-/// Like the stepping toggle, a malformed value is a hard configuration
-/// error (exit 2) rather than a silent fallback.
-u32 default_fabric_threads();
-
-/// Process-wide default tile span for the partitioned mode: 0 (meaning
-/// auto-size from the thread count), overridable once per process via
-/// WSR_FABRIC_TILE — rows per tile on 2D grids, PEs per tile on 1D rows.
-/// Tiling never changes results (any partition is bit-identical), only the
-/// parallel grain. Malformed values exit 2.
-u32 default_fabric_tile();
 
 struct FabricOptions {
   u32 ramp_latency = 2;         ///< T_R.
   i64 max_cycles = 500'000'000; ///< hard abort threshold.
   u32 color_queue_capacity = 2; ///< per-color processor ingress queue depth.
-  SteppingMode stepping = default_stepping_mode();
-  u32 threads = default_fabric_threads();    ///< Partitioned only; 0 = auto.
-  u32 tile_span = default_fabric_tile();     ///< Partitioned only; 0 = auto.
+  SteppingMode stepping = SteppingMode::Simd;
   /// Degraded hardware (common/link_override.hpp). A throttled link passes
   /// one wavelet per `factor` cycles; constructing a FabricSim for a
-  /// schedule that routes across a *failed* link asserts. Degraded fabrics
-  /// force the Worklist stepping mode: the subscription/vectorized engines'
-  /// claim fast paths assume full-rate links. Overrides naming links
-  /// outside the schedule's grid are ignored.
+  /// schedule that routes across a *failed* link asserts. Overrides naming
+  /// links outside the schedule's grid are ignored.
   std::vector<LinkOverride> link_overrides;
 };
 
@@ -231,34 +129,30 @@ class FabricSim {
     i64 done_cycle = -1;
   };
 
-  // -- per-PE cycle-step bodies (identical in all stepping modes) --
+  // -- per-PE cycle-step bodies (identical in both stepping modes) --
   bool step_processor(u32 pe);   // PE ops consume/emit; returns "changed".
   bool step_up_ramp(u32 pe);     // up FIFO head -> ramp register.
-  bool router_step(const std::vector<u32>& pes);  // full-scan / worklist.
-  bool router_step_subscription();                // woken-register cascade.
-  bool router_step_vectorized();                  // batched sweep passes.
-  bool router_step_simd();                        // bitmask-plane word walks.
-  bool partitioned_cycle();                       // one whole tiled cycle.
+  bool router_step_fullscan();   // every occupied register, ascending.
+  bool router_step_simd();       // bitmask-plane word walks.
 
   // movement resolution (memoized per cycle via epoch tags)
   enum class MoveState : u8 { Unknown, InProgress, Yes, No };
   bool resolve_move(u32 pe, u32 dir, std::size_t key);
 
-  // -- worklist / subscription bookkeeping (no-ops for simulation state) --
+  // -- active-set bookkeeping (no-ops for simulation state) --
   // `ridx` is always the PE-local register index (dir * num_colors + ci);
   // the global key is layout_.reg_base(pe) + ridx.
   void set_register(u32 pe, std::size_t ridx, float value);
-  void clear_register(u32 pe, std::size_t ridx);
   void wake_processor(u32 pe);
   void note_up_pending(u32 pe);
   void note_queue_pending(u32 pe);
   i64 scan_next_ready();
 
-  // -- stall-subscription engine (Subscription mode only; see DESIGN.md) --
+  // -- stall-cause parking (Simd only; see DESIGN.md §3) --
   /// Why a register's movement resolution said No this cycle.
   enum class StallCause : u8 {
-    Transient,   ///< lost a same-cycle claim (link / ramp / destination);
-                 ///< the resource frees at the cycle boundary — retry next
+    Transient,   ///< lost a same-cycle claim (link / ramp / destination) or
+                 ///< hit a throttled link still recovering — retry next
                  ///< cycle.
     Register,    ///< blocked on an occupied-and-stalled downstream register
                  ///< (payload: its global key) — wake when it clears or is
@@ -269,31 +163,25 @@ class FabricSim {
   };
   /// Schedules a register for attempt at the next router phase (dedup'd).
   void sub_pend(std::size_t key);
-  /// Drains waiter list `head` into `out` (the pending set, or the current
-  /// attempt closure), skipping stale entries and keeping parked_count_.
+  /// Drains waiter list `head` into `out` (the attempt closure's scratch),
+  /// skipping stale entries and keeping parked_count_.
   void sub_wake_list(i32& head, std::vector<u32>& out);
-  /// Simd flavour of sub_wake_list: woken registers become set bits in the
-  /// pending plane instead of vector entries (bit order is key order, so the
-  /// next attempt scan needs no sort).
+  /// Drains waiter list `head` into the pending plane (bit order is key
+  /// order, so the next attempt walk needs no sort).
   void sub_wake_plane(i32& head);
   /// Fires the (pe, ci) color event: rule advanced or ingress queue popped.
   void sub_wake_color(u32 pe, u32 ci);
-  /// Parks `key` on the stall cause recorded by resolve_move this cycle.
+  /// Parks `key` on the stall cause recorded by its resolution this cycle.
   void sub_park(std::size_t key);
 
-  /// Appends the register's pending move to `moves_`, clears the register
-  /// and retires rule quota. Shared by both router-step flavours; `ridx` is
-  /// the PE-local register index.
+  /// Appends the register's pending move to `places_`, clears the register
+  /// and retires rule quota (FullScan); `ridx` is the PE-local register
+  /// index.
   bool gather_move(u32 pe, std::size_t ridx);
-  /// Executes the gathered `moves_`: place copies into neighbour registers
-  /// and ingress queues.
-  void execute_moves();
-
-  // -- vectorized / partitioned sweep machinery (see DESIGN.md) --
 
   /// Fast-path descriptor of a color's *active* rule: when it forwards into
   /// exactly one valid mesh direction, the precomputed destination register
-  /// and output link keys let the sweep and the survivor fast path skip the
+  /// and output link keys let resolve_chain and the Simd gather skip the
   /// per-direction loop, the neighbour lookup and the color re-interning.
   /// dest == kNoFastRule means "take the general path".
   struct RuleFast {
@@ -302,44 +190,15 @@ class FabricSim {
   };
   static constexpr u32 kNoFastRule = UINT32_MAX;
 
-  /// A gathered move awaiting placement. The gather pass must clear *every*
-  /// Yes source before any placement lands (a chained forward's destination
-  /// is another mover's source), so each gather scope captures into one of
-  /// these and places in a second pass.
+  /// A gathered move awaiting placement (every FullScan move; Simd's
+  /// multicast / ramp / exhausted-rule moves). The gather pass must clear
+  /// *every* Yes source before any placement lands (a chained forward's
+  /// destination is another mover's source).
   struct PendingPlace {
     u32 pe;
     float value;
     Color color;
     DirMask forward;
-    RuleFast fast;  ///< pre-retirement snapshot, matches `forward`
-  };
-
-  /// Per-tile mutable stepping state for the partitioned mode: the active
-  /// sets and router scratch of the global engine, one copy per tile, plus
-  /// the boundary handoff outbox. All buffers are reused across cycles, so
-  /// tiled steady state stays allocation-free like the other modes.
-  struct TileState {
-    u32 pe_lo = 0, pe_hi = 0;
-    std::vector<u32> proc_list, up_list, queue_list;
-    std::vector<u32> router_list, scratch, router_scratch;
-    std::vector<u32> cand;         ///< this cycle's occupied regs, ascending
-    std::vector<u32> cand_dest;    ///< [cand idx] chain dest key | sentinel
-    std::vector<u32> survivors;    ///< cand keys the sweep could not reject
-    /// Boundary handoff: placements whose destination register lives in
-    /// another tile, applied by the *destination* tile after the gather
-    /// barrier, scanning source tiles in ascending order (the merge is
-    /// deterministic because a cycle's placements target disjoint keys).
-    struct Outbound {
-      u32 key;
-      float value;
-    };
-    std::vector<Outbound> outbox;
-    std::vector<PendingPlace> places;  ///< tile-local gather capture buffer
-    std::vector<std::pair<i64, u32>> wake_heap;
-    i64 local_hops = 0;
-    i64 next_ready = 0;
-    u8 changed = 0;
-    u8 crossing = 0;  ///< a candidate forwards into an occupied foreign reg
   };
 
   /// Refreshes rule_fast_[ck]: the single-mesh-forward fast-path descriptor
@@ -349,60 +208,26 @@ class FabricSim {
   /// direction register). A cleared bit marks a register whose resolution is
   /// *structurally* No with no claims and no recursion — its color's rule
   /// accepts a different direction (or is exhausted), or forwards only to a
-  /// full ingress queue — so the Simd sweep settles it with three stores
-  /// instead of a resolve call. Word updates are relaxed-atomic: under the
-  /// partitioned mode two tiles' color keys can share a plane word, and the
-  /// bits they own are disjoint, so fetch_or/fetch_and keep every schedule
-  /// deterministic.
+  /// full ingress queue — so the Simd walk settles it with three stores
+  /// instead of a resolve call.
   void refresh_struct_ok(u32 pe, std::size_t ck);
-  /// The branchless verdict core of the partitioned sweep: classifies one
-  /// occupied register as structurally-No (verdict 2), chain-dependent (3,
-  /// dest in *dest) or a survivor (1). `tile` bounds in-tile chain
-  /// propagation; occupied destinations outside it raise tile->crossing.
-  u8 sweep_verdict(u32 key, u32* dest, TileState* tile);
-  /// Runs the capped descending/ascending No-propagation passes over a
-  /// candidate list (verdicts in verdict_, chain dests in `dests`).
-  void propagate_no(const std::vector<u32>& cands, std::vector<u32>& dests);
-  /// Resolves one candidate at its arbitration position: memoized verdict
-  /// if a chain recursion already settled it, an inline single-forward fast
-  /// path (the exact resolve_move trace, minus the per-direction loop and
-  /// layout lookups), the full resolve_move otherwise. Returns Yes/No.
-  bool resolve_candidate(u32 key);
-  /// The Simd engine's resolve_candidate: the same memoized-verdict check
-  /// and single-forward fast path, but chains of fast rules resolve
-  /// iteratively over the precomputed rule_fast_ descriptors (frames on
-  /// chain_stack_) instead of recursing through resolve_move's per-direction
-  /// loop, neighbour lookup and color re-interning. Falls back to
-  /// resolve_move only at a multicast / ramp / exhausted-rule frame. Claim
-  /// writes, stall causes and verdict memoization are byte-identical to the
-  /// recursive trace.
+  /// Resolves one Simd candidate at its arbitration position: the memoized
+  /// verdict if a chain already settled it, and otherwise chains of active
+  /// single-mesh-forward rules resolve iteratively over the precomputed
+  /// rule_fast_ descriptors (frames on chain_stack_) instead of recursing
+  /// through resolve_move's per-direction loop, neighbour lookup and color
+  /// re-interning. Falls back to resolve_move only at a multicast / ramp /
+  /// exhausted-rule frame. Claim writes, link pacing, stall causes and
+  /// verdict memoization are byte-identical to the recursive trace.
   bool resolve_chain(u32 key);
   /// Advances a color's retired rule chain to its next entry (or exhausts
-  /// it), refreshes the fast descriptor and wakes rule-parked registers.
+  /// it); under Simd also refreshes the fast descriptor and wakes
+  /// rule-parked registers.
   /// `key` is the capturing register (its PE/ci locate the color).
   void retire_rule(u32 key, std::size_t ck);
-  /// Gathers one Yes register: captures value + rule snapshot into
-  /// `places`, clears the source and retires rule quota. The caller places
-  /// the whole batch afterwards — sources must all be vacated before chain
-  /// destinations are written.
-  void gather_capture(u32 key, std::vector<PendingPlace>& places);
-  /// Places one captured move's copies: into neighbour registers directly,
-  /// via the tile outbox for foreign destinations, or onto the down ramp.
-  void place_move(const PendingPlace& p, TileState* tile);
-
-  /// Pushes a timed processor wake-up onto the owning heap (the global one,
-  /// or the PE's tile heap in partitioned mode).
-  void push_wake(i64 when, u32 pe);
-
-  // -- partitioned per-tile phase bodies (run under pool_ barriers) --
-  // Two phases before resolution: up-ramps mutate register occupancy, and
-  // the sweep reads *neighbouring* tiles' occupancy, so they must be
-  // barrier-separated to stay race-free and deterministic.
-  void tile_pe_phase(u32 ti);     // timed wakes + processors + up-ramps
-  void tile_sweep_phase(u32 ti);  // candidate enumeration + verdict sweep
-  void tile_resolve(u32 ti);      // survivors, ascending (no crossing only)
-  void tile_gather(u32 ti);       // fused gather/place + outbox fill
-  void tile_inbox(u32 ti);        // apply foreign placements; relist PEs
+  /// Places one captured general move's copies: into neighbour registers
+  /// or onto the down ramp.
+  void place_move(const PendingPlace& p);
 
   /// The wafer's index algebra: every array below indexed by a register,
   /// color, link or op key is laid out by this module.
@@ -411,11 +236,8 @@ class FabricSim {
   const Schedule* sched_;
   i64 cycle_ = 0;
   i64 hops_ = 0;
-  /// Relaxed atomic: tile processor phases retire PEs concurrently; the sum
-  /// is order-independent. Serial modes pay one uncontended RMW per PE
-  /// retirement, which never shows in a profile.
-  std::atomic<u64> done_count_{0};
-  bool subscribed_ = false;  ///< Subscription-style tracking (also Vectorized)
+  u32 done_count_ = 0;  ///< PEs whose programs have completed
+  bool simd_ = false;   ///< stepping == Simd: active sets + parking + planes
 
   // --- structure-of-arrays simulator state -----------------------------------
   // One flat array per field; per-PE spans are carved out by the layout's
@@ -445,6 +267,8 @@ class FabricSim {
   std::vector<u32> rule_active_;     ///< index into layout_.rules(ck); only
                                      ///< touched when a rule retires
   std::vector<WaveletFifo> down_;    ///< processor ingress queue headers
+  std::vector<RuleFast> rule_fast_;  ///< active-rule fast path descriptors
+                                     ///< (Simd only)
 
   // [global op key]
   std::vector<OpState> ops_;
@@ -455,12 +279,12 @@ class FabricSim {
   std::vector<i64> ramp_traffic_;
   std::vector<u8> done_;
   std::vector<u32> first_incomplete_;  ///< ops below this index are complete
-  std::vector<u32> occupied_regs_;     ///< #set registers (router list key)
-  /// Bitmask over PE-local register indices (dir * num_colors + ci) when
-  /// they fit in 64 bits (they do for every generated schedule: <= 12
-  /// colors per PE); iterating set bits ascending is exactly the
-  /// (dir, color) scan order, so arbitration is unchanged. The 0-wide
+  /// FullScan's occupancy: #set registers, and a bitmask over PE-local
+  /// register indices (dir * num_colors + ci) when they fit in 64 bits
+  /// (they do for every generated schedule: <= 12 colors per PE); iterating
+  /// set bits ascending is exactly the (dir, color) scan order. The 0-wide
   /// fallback scans all registers of the PE.
+  std::vector<u32> occupied_regs_;
   std::vector<u64> occ_mask_;
   std::vector<u8> use_occ_mask_;
 
@@ -468,7 +292,7 @@ class FabricSim {
   /// cleared per cycle. One 16-byte slot per register keeps the resolution
   /// verdict, its memoization epoch and the recorded stall cause on a single
   /// cache line — the resolution path is memory-bound, and splitting these
-  /// over parallel arrays measurably slows every stepping mode.
+  /// over parallel arrays measurably slows both stepping modes.
   struct MoveSlot {
     i64 epoch = -1;
     MoveState state = MoveState::Unknown;
@@ -490,16 +314,13 @@ class FabricSim {
   std::vector<std::size_t> degraded_link_keys_;  ///< overridden links (for
                                                  ///< idle fast-forward scans)
 
-  // Active sets. Membership flags guard against duplicates; the router list
-  // is sorted ascending before use because inter-PE claim arbitration is
-  // order-sensitive (processor and up-ramp steps touch only their own PE, so
-  // their visit order is free).
-  std::vector<u8> in_proc_list_, in_up_list_, in_router_list_, in_queue_list_;
-  std::vector<u32> proc_list_, up_list_, router_list_, queue_list_;
+  // Simd active sets. Membership flags guard against duplicates; processor
+  // and up-ramp steps touch only their own PE, so their visit order is free.
+  std::vector<u8> in_proc_list_, in_up_list_, in_queue_list_;
+  std::vector<u32> proc_list_, up_list_, queue_list_;
   std::vector<u32> scratch_;          // reused per-cycle snapshot buffer
-  std::vector<u32> router_scratch_;
 
-  // Stall-subscription state (all flat, allocated once; intrusive waiter
+  // Stall-cause parking state (all flat, allocated once; intrusive waiter
   // lists thread through waiter_next_ so steady state allocates nothing).
   std::vector<i32> reg_waiter_head_;    // [reg key] -> waiting reg key | -1
   std::vector<i32> color_waiter_head_;  // [color key] -> waiting reg key | -1
@@ -509,31 +330,17 @@ class FabricSim {
                                         //   occupied ramp register
   std::size_t parked_count_ = 0;        // #registers in waiter lists; lets
                                         //   streaming skip the closure scan
-  std::vector<u32> pending_;   // registers to attempt at next router phase
-  std::vector<u32> attempt_;   // this cycle's woken closure (sorted)
 
   /// Timed wake-ups: (ready cycle, pe) min-heap for processors blocked on a
   /// queue head that is still in flight down the ramp.
   std::vector<std::pair<i64, u32>> wake_heap_;
-  /// Simd-mode up-ramp pacing: (ready cycle, pe) min-heap re-entering the
-  /// up-ramp list exactly when the fifo front's latency expires, instead of
+  /// Up-ramp pacing: (ready cycle, pe) min-heap re-entering the up-ramp
+  /// list exactly when the fifo front's latency expires, instead of
   /// re-stepping every in-flight ramp every cycle. Duplicate entries are
-  /// harmless (note_up_pending dedups); only the Simd engine pushes here.
+  /// harmless (note_up_pending dedups).
   std::vector<std::pair<i64, u32>> ramp_heap_;
 
-  /// Scratch for router move execution (hoisted out of the per-cycle path).
-  struct Move {
-    Wavelet w;
-    u32 pe;
-    DirMask forward;
-  };
-  std::vector<Move> moves_;
-
-  // --- vectorized / partitioned state ---------------------------------------
-
-  std::vector<RuleFast> rule_fast_;  ///< [color key] active-rule fast path
-
-  // --- Simd bitmask planes (DESIGN.md §"SIMD sweep") -------------------------
+  // --- Simd bitmask planes (DESIGN.md §3 "The Simd stepping engine") ---------
   // One bit per global register key, 64 keys per word; bit order == key
   // order == claim-arbitration order, so ascending word/ctz walks replay the
   // serial scan exactly.
@@ -553,11 +360,8 @@ class FabricSim {
     void reset() { lo = UINT32_MAX; hi = 0; }
   };
 
-  bool simd_ = false;      ///< stepping == Simd (after dispatch rewrite)
-  bool planes_ = false;    ///< struct_ok_ is maintained (Simd or Partitioned)
-  bool use_avx2_ = false;  ///< resolved WSR_FABRIC_SIMD word-scan kernel
-  BitPlane pend_plane_;    ///< registers to attempt at the next router phase
-  BitPlane att_plane_;     ///< this cycle's attempt closure (consumed)
+  BitPlane pend_plane_;  ///< registers to attempt at the next router phase
+  BitPlane att_plane_;   ///< this cycle's attempt closure (consumed)
   /// [key word] bit SET iff the register is *not* structurally No (see
   /// refresh_struct_ok); `attempt & ~struct_ok` is the word-parallel
   /// structural-No pre-pass.
@@ -565,26 +369,14 @@ class FabricSim {
   std::vector<u32> wake_stack_;    ///< closure scratch: drained waiter keys
   std::vector<u32> word_scratch_;  ///< nonzero-word indices of one walk
   std::vector<u32> chain_stack_;   ///< iterative chain-resolve frames
+  std::vector<u32> survivors_;     ///< this cycle's Yes keys, ascending
   /// Fast-descriptor placements of the current cycle: (dest key, value).
   /// The general PendingPlace record is only built for multicast / ramp /
   /// exhausted rules; single-mesh-forward movers (the streaming hot path)
-  /// round-trip 8 bytes instead of 24.
+  /// round-trip this 8-byte pair.
   std::vector<std::pair<u32, float>> fast_places_;
-
-  /// [reg key] sweep verdict of the current cycle: 0 none, 1 survivor,
-  /// 2 structurally No, 3 chain-dependent. Entries are reset to 0 for every
-  /// candidate before the router step returns, so no epoch tag is needed.
-  std::vector<u8> verdict_;
-  std::vector<u32> survivors_;   ///< vectorized Yes keys, ascending
-  std::vector<PendingPlace> places_;  ///< vectorized gather capture buffer
-
-  // Partitioned mode: fixed spatial tiles (geometry from the layout), their
-  // mutable stepping state, and the persistent worker pool. The serial
-  // crossing fallback concatenates per-tile survivor lists here (per-tile
-  // ascending lists in tile order == globally ascending).
-  std::vector<u32> tile_of_;     ///< [pe] -> tile index
-  std::vector<TileState> tiles_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::vector<PendingPlace> places_;  ///< general-path gather buffer (every
+                                      ///< FullScan move)
 };
 
 /// Convenience: build default input data where PE p's element j is

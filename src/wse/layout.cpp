@@ -1,7 +1,5 @@
 #include "wse/layout.hpp"
 
-#include <algorithm>
-
 namespace wsr::wse {
 
 FabricLayout::FabricLayout(const Schedule& s) : FabricLayout(s, Options{}) {}
@@ -107,47 +105,6 @@ FabricLayout::FabricLayout(const Schedule& s, Options opt) : grid_(s.grid) {
       }
     }
   }
-}
-
-FabricLayout::TilePartition FabricLayout::make_tiles(u32 tile_span) const {
-  WSR_ASSERT(!reg_base_.empty(), "make_tiles needs interning");
-  TilePartition part;
-  part.tile_of.assign(num_pes_, 0);
-
-  // Tiles are bands of whole rows (2D) or PE ranges (1D row). Either way a
-  // tile is a contiguous [pe_lo, pe_hi) id range under row-major ids, so the
-  // key ranges below are contiguous too.
-  const u32 extent = grid_.height > 1 ? grid_.height : grid_.width;
-  const u32 span = (tile_span == 0 || tile_span >= extent) ? extent : tile_span;
-  const u32 pes_per = grid_.height > 1 ? span * grid_.width : span;
-
-  for (u32 lo = 0; lo < num_pes_; lo += pes_per) {
-    TileSpan t;
-    t.pe_lo = lo;
-    t.pe_hi = std::min(num_pes_, lo + pes_per);
-    t.reg_lo = reg_base_[t.pe_lo];
-    t.reg_hi = reg_base_[t.pe_hi];
-    t.color_lo = color_base_[t.pe_lo];
-    t.color_hi = color_base_[t.pe_hi];
-    part.tiles.push_back(std::move(t));
-  }
-  const u32 num_tiles = static_cast<u32>(part.tiles.size());
-  for (u32 ti = 0; ti < num_tiles; ++ti) {
-    const TileSpan& t = part.tiles[ti];
-    for (u32 pe = t.pe_lo; pe < t.pe_hi; ++pe) part.tile_of[pe] = ti;
-  }
-  for (TileSpan& t : part.tiles) {
-    for (u32 pe = t.pe_lo; pe < t.pe_hi; ++pe) {
-      for (u8 d = 0; d < kNumDirs; ++d) {
-        const u32 npe = neighbor_pe_[link_key(pe, d)];
-        if (npe != kNoNeighbor && part.tile_of[npe] != part.tile_of[pe]) {
-          t.boundary_pes.push_back(pe);
-          break;
-        }
-      }
-    }
-  }
-  return part;
 }
 
 }  // namespace wsr::wse

@@ -139,35 +139,6 @@ class FabricLayout {
   std::size_t num_ops(u32 pe) const { return op_base_[pe + 1] - op_base_[pe]; }
   std::size_t total_ops() const { return op_base_[num_pes_]; }
 
-  // --- spatial tiles (partitioned stepping mode) -----------------------------
-  // The wafer split into contiguous PE-id spans: whole rows per tile on 2D
-  // grids (so E/W links never cross a tile edge), plain PE ranges on 1D
-  // rows. Contiguity means every tile also owns contiguous register/color
-  // key ranges — ascending key order within a tile is ascending global key
-  // order, which is what lets the partitioned router keep the serial claim
-  // arbitration order (DESIGN.md §"Vectorized and tile-partitioned
-  // stepping").
-
-  struct TileSpan {
-    u32 pe_lo = 0, pe_hi = 0;                ///< [lo, hi) PE ids
-    std::size_t reg_lo = 0, reg_hi = 0;      ///< register key range
-    std::size_t color_lo = 0, color_hi = 0;  ///< color key range
-    /// PEs of this tile with at least one mesh neighbour in another tile,
-    /// ascending — the handoff perimeter.
-    std::vector<u32> boundary_pes;
-  };
-
-  struct TilePartition {
-    std::vector<TileSpan> tiles;
-    std::vector<u32> tile_of;  ///< [pe] -> owning tile index
-    u32 tile_for(u32 pe) const { return tile_of[pe]; }
-  };
-
-  /// Splits the wafer into tiles of `tile_span` rows (2D) or PEs (1D row);
-  /// the last tile takes the remainder. tile_span == 0 or >= the grid
-  /// extent yields a single tile. Requires interning (key spans).
-  TilePartition make_tiles(u32 tile_span) const;
-
   // --- routing rules, regrouped per color ------------------------------------
 
   /// The (activation-ordered) rule chain of a color key, as a span into one

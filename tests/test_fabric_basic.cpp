@@ -123,47 +123,5 @@ TEST(Fabric, ContentionMeasuredAtRoot) {
   EXPECT_EQ(r.max_ramp_wavelets, i64{b} * (p - 1));
 }
 
-TEST(SteppingMode, ParsesTheSixValidModes) {
-  EXPECT_EQ(parse_stepping_mode("fullscan"), SteppingMode::FullScan);
-  EXPECT_EQ(parse_stepping_mode("worklist"), SteppingMode::Worklist);
-  EXPECT_EQ(parse_stepping_mode("subscription"), SteppingMode::Subscription);
-  EXPECT_EQ(parse_stepping_mode("vectorized"), SteppingMode::Vectorized);
-  EXPECT_EQ(parse_stepping_mode("partitioned"), SteppingMode::Partitioned);
-  EXPECT_EQ(parse_stepping_mode("simd"), SteppingMode::Simd);
-  EXPECT_EQ(parse_stepping_mode("Subscription"), std::nullopt);
-  EXPECT_EQ(parse_stepping_mode("sub"), std::nullopt);
-  EXPECT_EQ(parse_stepping_mode(""), std::nullopt);
-}
-
-TEST(SteppingMode, EnvResolutionDefaultsAndAccepts) {
-  EXPECT_EQ(stepping_mode_from_env_value(nullptr), SteppingMode::Simd);
-  EXPECT_EQ(stepping_mode_from_env_value(""), SteppingMode::Simd);
-  EXPECT_EQ(stepping_mode_from_env_value("worklist"), SteppingMode::Worklist);
-  EXPECT_EQ(stepping_mode_from_env_value("vectorized"),
-            SteppingMode::Vectorized);
-}
-
-TEST(SteppingMode, UnknownEnvValueIsAHardError) {
-  // A typo'd WSR_FABRIC_STEPPING must not silently measure the default
-  // mode; the process exits listing the valid values (docs/cli.md).
-  EXPECT_EXIT(stepping_mode_from_env_value("worklust"),
-              ::testing::ExitedWithCode(2),
-              "not a valid stepping mode.*fullscan, worklist, subscription, "
-              "vectorized, partitioned, simd");
-}
-
-TEST(SteppingMode, UnknownSimdDispatchEnvValueIsAHardError) {
-  // Same strictness for the WSR_FABRIC_SIMD kernel-dispatch override: junk
-  // exits listing the valid choices instead of silently picking one.
-  EXPECT_EQ(simd_dispatch_from_env_value(nullptr), SimdDispatch::Auto);
-  EXPECT_EQ(simd_dispatch_from_env_value(""), SimdDispatch::Auto);
-  EXPECT_EQ(simd_dispatch_from_env_value("avx2"), SimdDispatch::Avx2);
-  EXPECT_EQ(simd_dispatch_from_env_value("swar"), SimdDispatch::Swar);
-  EXPECT_EQ(simd_dispatch_from_env_value("off"), SimdDispatch::Off);
-  EXPECT_EXIT(simd_dispatch_from_env_value("sse9"),
-              ::testing::ExitedWithCode(2),
-              "not a valid dispatch choice.*avx2, swar, off");
-}
-
 }  // namespace
 }  // namespace wsr::wse

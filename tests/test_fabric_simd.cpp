@@ -1,41 +1,30 @@
 // Simd stepping-mode plane geometry: the bitmask planes index registers by
 // global key, 64 per word, so the interesting fabrics are the ones whose
 // register count exercises partial words — totals below one word, one bit
-// into a new word, one bit short of a word boundary — plus rectangular
-// grids whose per-PE register spans make the key space deliberately lumpy.
-// The exhaustive mode-parity contract lives in
-// tests/test_fabric_worklist_parity.cpp; this file pins the plane edge
-// cases and the constructor's dispatch rewrites (degraded fabrics run the
-// scalar worklist engine, bit-identically).
+// into a new word, one bit short of a word boundary — plus rectangular grids
+// whose per-PE register spans make the key space deliberately lumpy. The
+// exhaustive parity contract, degraded fabrics included, lives in
+// tests/test_fabric_parity.cpp.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "collectives/collectives.hpp"
-#include "common/link_override.hpp"
 #include "runtime/verify.hpp"
-#include "wse/checks.hpp"
 #include "wse/fabric.hpp"
 #include "wse/layout.hpp"
 
 namespace wsr {
 namespace {
 
-wse::FabricResult run_mode(const wse::Schedule& s, wse::SteppingMode mode,
-                           const std::vector<LinkOverride>& overrides = {}) {
+wse::FabricResult run_mode(const wse::Schedule& s, wse::SteppingMode mode) {
   const auto inputs = wse::make_inputs(s, runtime::canonical_input);
   wse::FabricOptions opt;
   opt.stepping = mode;
-  opt.link_overrides = overrides;
   return wse::run_fabric(s, inputs, opt);
 }
 
-void expect_simd_matches_fullscan(
-    const wse::Schedule& s, const std::vector<LinkOverride>& overrides = {}) {
-  const wse::FabricResult base =
-      run_mode(s, wse::SteppingMode::FullScan, overrides);
-  const wse::FabricResult simd =
-      run_mode(s, wse::SteppingMode::Simd, overrides);
+void expect_simd_matches_fullscan(const wse::Schedule& s) {
+  const wse::FabricResult base = run_mode(s, wse::SteppingMode::FullScan);
+  const wse::FabricResult simd = run_mode(s, wse::SteppingMode::Simd);
   EXPECT_EQ(simd.cycles, base.cycles) << s.name;
   EXPECT_EQ(simd.wavelet_hops, base.wavelet_hops) << s.name;
   EXPECT_EQ(simd.max_pe_ramp_wavelets, base.max_pe_ramp_wavelets) << s.name;
@@ -82,28 +71,6 @@ TEST(FabricSimd, RectangularGrids) {
           collectives::make_reduce_2d_xy(ReduceAlgo::Star, g, 16));
     }
   }
-}
-
-// Degraded fabrics force the worklist engine (the Simd claim fast path
-// assumes full-rate links); the rewrite must stay bit-identical to the
-// full-scan reference under the same overrides.
-TEST(FabricSimd, DegradedLinkFabricStaysBitIdentical) {
-  const wse::Schedule s =
-      collectives::make_reduce_1d(ReduceAlgo::Chain, 8, 16);
-  LinkOverride o;
-  o.x = 2;
-  o.y = 0;
-  o.dir = Dir::East;
-  o.factor = 3;
-  const std::vector<LinkOverride> overrides{o};
-  if (wse::schedule_crosses_failed_link(s, overrides)) GTEST_SKIP();
-  expect_simd_matches_fullscan(s, overrides);
-
-  // And the throttle is actually applied under a Simd request: the degraded
-  // run can never beat the pristine one.
-  const auto clean = run_mode(s, wse::SteppingMode::Simd);
-  const auto throttled = run_mode(s, wse::SteppingMode::Simd, overrides);
-  EXPECT_GE(throttled.cycles, clean.cycles);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Unit tests for common/parallel.hpp: the free parallel_for_index and the
-// persistent ThreadPool behind FabricSim's partitioned stepping mode. The
-// suite is intentionally thread-heavy — CI runs it (together with the
-// fabric parity suite) under TSan, where it is the cheapest way to sweep
-// the pool's phase-generation handshake for races.
+// Unit tests for common/parallel.hpp's parallel_for_index, the primitive
+// behind Planner::plan_many and the bench sweep engine. The suite is
+// intentionally thread-heavy — CI runs it under TSan, together with the
+// sweep-determinism and plan-cache suites that drive it from real callers.
 #include "common/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -27,42 +26,6 @@ TEST(ParallelForIndex, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelForIndex, ZeroItemsIsANoOp) {
   parallel_for_index(0, 4, [](std::size_t) { FAIL() << "fn ran for n=0"; });
-}
-
-TEST(ThreadPool, RunsEveryIndexAndBlocksUntilDone) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.threads(), 4u);
-  std::vector<std::atomic<int>> hits(1000);
-  auto body = [&](std::size_t i) { hits[i].fetch_add(1); };
-  pool.run(hits.size(), body);
-  // run() is a full barrier: every slot must be visible right here.
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPool, ReusableAcrossManyPhases) {
-  // The partitioned stepper issues several pool phases per simulated cycle;
-  // exercise rapid back-to-back dispatches including empty ones.
-  ThreadPool pool(3);
-  std::atomic<long> sum{0};
-  long expected = 0;
-  for (int phase = 0; phase < 200; ++phase) {
-    const std::size_t n = static_cast<std::size_t>(phase % 7);
-    auto body = [&](std::size_t i) {
-      sum.fetch_add(static_cast<long>(i) + 1);
-    };
-    pool.run(n, body);
-    for (std::size_t i = 0; i < n; ++i) expected += static_cast<long>(i) + 1;
-  }
-  EXPECT_EQ(sum.load(), expected);
-}
-
-TEST(ThreadPool, PoolOfOneRunsInline) {
-  ThreadPool pool(1);
-  const auto caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ran(16);
-  auto body = [&](std::size_t i) { ran[i] = std::this_thread::get_id(); };
-  pool.run(ran.size(), body);
-  for (const auto& id : ran) EXPECT_EQ(id, caller);
 }
 
 }  // namespace

@@ -25,9 +25,9 @@ std::filesystem::path golden_path() {
          "plan_json.golden";
 }
 
-/// "fabric_stepping" reflects the host's WSR_FABRIC_STEPPING default — the
-/// one legitimately environment-dependent response field. Mask its value so
-/// the golden bytes compare equal on any machine.
+/// "fabric_stepping" names the engine in-process verification runs under;
+/// the golden file stores it masked, so an engine change alone does not
+/// churn the wire-format pin (docs/serving.md documents the value).
 std::string mask_stepping(std::string text) {
   const std::string key = "\"fabric_stepping\":\"";
   for (std::size_t at = text.find(key); at != std::string::npos;

@@ -105,5 +105,26 @@ TEST_F(PlannerFixture, PredictionsConsistentWithPlans) {
             planner_->predict_allreduce_1d(ReduceAlgo::TwoPhase, 64, 256).cycles);
 }
 
+// A degraded machine's planner reuses its pristine planner's tables and
+// plans exactly like a planner built for the degraded machine from scratch.
+TEST(PlannerTables, LinkOverridesShareTheTables) {
+  const Planner pristine(128);
+  MachineParams degraded;
+  degraded.link_overrides = {*parse_link_override("5,0,W,3")};
+  const Planner derived = pristine.with_link_overrides(degraded.link_overrides);
+  EXPECT_EQ(&derived.autogen_model(), &pristine.autogen_model());
+  EXPECT_EQ(&derived.lower_bound(), &pristine.lower_bound());
+  EXPECT_EQ(derived.machine().link_overrides, degraded.link_overrides);
+
+  const Planner fresh(128, degraded);
+  const PlanRequest req{Collective::Reduce, {128, 1}, 256, ""};
+  const Plan a = derived.plan(req), b = fresh.plan(req);
+  EXPECT_EQ(a.algorithm, b.algorithm);
+  EXPECT_EQ(a.prediction.cycles, b.prediction.cycles);
+  EXPECT_EQ(a.schedule.programs.size(), b.schedule.programs.size());
+  // Anti-vacuity: the throttled link is on the Reduce's path.
+  EXPECT_NE(a.prediction.cycles, pristine.plan(req).prediction.cycles);
+}
+
 }  // namespace
 }  // namespace wsr::runtime

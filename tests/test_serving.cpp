@@ -1,7 +1,8 @@
 // Tests of the serving layer's building blocks: the lock-free latency
-// histogram's bucketing math, the wire-protocol request parser, and the
-// epoll event loop's wake/post/tick machinery. The end-to-end daemon
-// behavior (timeouts, shedding, drain) is covered by tools/wsrd_chaos.py.
+// histogram's bucketing math, the wire-protocol request parser, the epoll
+// event loop's wake/post/tick machinery, and Core's per-machine planner
+// table. The end-to-end daemon behavior (timeouts, shedding, drain) is
+// covered by tools/wsrd_chaos.py.
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <thread>
 
+#include "serving/core.hpp"
 #include "serving/event_loop.hpp"
 #include "serving/histogram.hpp"
 #include "serving/request.hpp"
@@ -210,6 +212,55 @@ TEST(EventLoop, RemovedSourceStopsDelivering) {
   EXPECT_EQ(fired.load(), 0);
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+// --- Core planner table ------------------------------------------------------
+
+std::string serve_line(Core& core, const std::string& line) {
+  std::vector<Request> batch;
+  batch.push_back(parse_request(line));
+  return core.serve_batch(batch);
+}
+
+/// A response minus its plan_cache counters, which also count the Core's
+/// earlier requests.
+std::string without_cache_counters(std::string response) {
+  const std::string key = "\"plan_cache\":{";
+  const std::size_t at = response.find(key);
+  if (at != std::string::npos) {
+    response.erase(at, response.find("},", at) + 2 - at);
+  }
+  return response;
+}
+
+// Link overrides are part of the machine: a degraded request must be planned
+// and priced for its own machine whatever a Core served before it, so each
+// answer equals a fresh Core's, in either order.
+TEST(CorePlanners, DegradedRequestsGetTheirOwnPlanner) {
+  const std::string pristine =
+      R"({"id":1,"collective":"reduce","grid":"128","bytes":1024})";
+  const std::string degraded =
+      R"({"id":2,"collective":"reduce","grid":"128","bytes":1024,)"
+      R"("link_overrides":["5,0,W,3"]})";
+  const Core::Options opts;
+  for (const auto& [first, second] :
+       {std::pair{pristine, degraded}, std::pair{degraded, pristine}}) {
+    Core fresh(opts);
+    const std::string alone = serve_line(fresh, second);
+    Core shared(opts);
+    serve_line(shared, first);
+    EXPECT_EQ(without_cache_counters(serve_line(shared, second)),
+              without_cache_counters(alone));
+  }
+  // Anti-vacuity: the override is on the Reduce's path, so the two
+  // machines' predictions differ.
+  const auto predicted = [](const std::string& response) {
+    const std::size_t at = response.find("\"predicted_cycles\":");
+    return response.substr(at, response.find(',', at) - at);
+  };
+  Core a(opts), b(opts);
+  EXPECT_NE(predicted(serve_line(a, pristine)),
+            predicted(serve_line(b, degraded)));
 }
 
 }  // namespace
