@@ -124,9 +124,10 @@ int main(int argc, char** argv) {
       (warm_s - stats.load_seconds) / static_cast<double>(requests.size());
   const double serve_speedup = cold_per_request / disk_hit_per_request;
   std::printf("=== Ablation: persistent plan cache warm start ===\n");
-  std::printf("store                  : %s (%llu bytes, %zu plans)\n",
+  std::printf("store                  : %s (%llu bytes, %llu plans)\n",
               disk.store_path().c_str(),
-              static_cast<unsigned long long>(stats.file_bytes), disk.size());
+              static_cast<unsigned long long>(stats.file_bytes),
+              static_cast<unsigned long long>(stats.entries));
   std::printf("cold boot (plan+append): %9.1f ms  (%zu requests, %.0f us "
               "per plan)\n",
               cold_s * 1e3, requests.size(), cold_per_request * 1e6);

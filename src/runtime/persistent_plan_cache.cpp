@@ -10,17 +10,16 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 
 #include "store/record.hpp"
 
 namespace wsr::runtime {
 
-static_assert(PersistentPlanCache::kSchemaVersion == store::kSchemaVersion,
-              "the disk tier and the shared record codec must agree");
-
 namespace {
 
 constexpr char kStoreFile[] = "plans.wsrpc";
+constexpr char kHotFile[] = "hot.wsrh";
 
 using store::kFrameSize;
 using store::kHeaderSize;
@@ -55,18 +54,16 @@ bool is_fatal_store_errno(int err) {
 
 }  // namespace
 
-std::string serialize_plan_record(const PlanKey& key, const Plan& plan) {
-  return store::serialize_plan_record(key, plan);
-}
-
 PersistentPlanCache::PersistentPlanCache(std::string dir)
-    : PersistentPlanCache(std::move(dir), Options{}) {}
-
-PersistentPlanCache::PersistentPlanCache(std::string dir, Options opt)
-    : dir_(std::move(dir)), opt_(opt) {
+    : dir_(std::move(dir)) {
   ::mkdir(dir_.c_str(), 0777);  // EEXIST is fine; open failures surface below
+  // Counted shapes rank first; shapes only in the store follow in file
+  // order (load() seeds them).
+  load_hot();
   load();
 }
+
+PersistentPlanCache::~PersistentPlanCache() { flush_hot(); }
 
 std::string PersistentPlanCache::store_path() const {
   return dir_ + "/" + kStoreFile;
@@ -82,11 +79,11 @@ void PersistentPlanCache::load() {
                    std::istreambuf_iterator<char>());
     }
   }
-  stats_.file_bytes = bytes.size();
+  load_.file_bytes = bytes.size();
 
   if (bytes.empty()) {
     // No store yet: the first append creates it.
-    stats_.load_seconds = std::chrono::duration<double>(
+    load_.load_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
     return;
@@ -98,9 +95,9 @@ void PersistentPlanCache::load() {
     // Foreign magic, other endianness, or another schema version: ignore
     // everything (clean miss) and rewrite under the current schema on the
     // next append.
-    stats_.load_errors += 1;
+    load_.load_errors += 1;
     rewrite_on_next_append_ = true;
-    stats_.load_seconds = std::chrono::duration<double>(
+    load_.load_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
     return;
@@ -124,14 +121,14 @@ void PersistentPlanCache::load() {
         // individually (bit rot in one record must not drop its
         // successors).
         if (!checksum_ok) {
-          stats_.load_errors += 1;
+          load_.load_errors += 1;
           return;
         }
         PlanKey key;
         auto plan = std::make_shared<Plan>();
         store::Reader pr{payload, payload_size};
         if (!store::read_payload(pr, &key, plan.get())) {
-          stats_.load_errors += 1;
+          load_.load_errors += 1;
           return;
         }
         if (!store::record_algorithm_resolves(key, *plan)) {
@@ -140,7 +137,7 @@ void PersistentPlanCache::load() {
           // copy counts as live bytes — otherwise a store full of foreign
           // algorithms would re-trigger a compaction scan on every load
           // without ever shrinking.
-          stats_.load_errors += 1;
+          load_.load_errors += 1;
           if (foreign_seen.emplace(std::move(key), true).second) {
             live_bytes += kFrameSize + payload_size;
           }
@@ -151,37 +148,72 @@ void PersistentPlanCache::load() {
         const auto [it, inserted] = index_.emplace(
             std::move(key), std::shared_ptr<const Plan>(std::move(plan)));
         if (inserted) {
-          stats_.loaded += 1;
+          load_.loaded += 1;
           live_bytes += kFrameSize + payload_size;
-          load_order_.push_back(it->first);
+          hot_.seed(it->first);
         }
       });
-  if (!complete) stats_.load_errors += 1;  // torn tail
+  if (!complete) load_.load_errors += 1;  // torn tail
 
   // Load-time compaction: rewrite when dead/duplicate bytes exceed half the
   // file (the store is append-only; this is the only path that shrinks it).
-  if (!rewrite_on_next_append_ && stats_.file_bytes > live_bytes &&
-      (stats_.file_bytes - live_bytes) * 2 > stats_.file_bytes) {
+  if (!rewrite_on_next_append_ && load_.file_bytes > live_bytes &&
+      (load_.file_bytes - live_bytes) * 2 > load_.file_bytes) {
     std::lock_guard<std::mutex> io_lock(io_mu_);
     if (const auto compacted = compact_store()) {
-      stats_.file_bytes = *compacted;
+      load_.file_bytes = *compacted;
     }
   }
-  stats_.load_seconds =
+  load_.load_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 }
 
-std::shared_ptr<const Plan> PersistentPlanCache::find(
-    const PlanKey& key) const {
+store::GetResult PersistentPlanCache::get(const PlanKey& key) {
+  gets_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    return {store::StoreStatus::Miss, nullptr};
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  return {store::StoreStatus::Hit, it->second};
+}
+
+void PersistentPlanCache::load_hot() {
+  std::ifstream in(dir_ + "/" + kHotFile);
+  if (!in) return;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    u64 uses = 0;
+    std::string key_b64;
+    if (!(fields >> uses >> key_b64)) continue;  // garbled line: advisory data
+    const std::optional<std::string> key_bytes = store::base64_decode(key_b64);
+    if (!key_bytes) continue;
+    const std::optional<PlanKey> key = store::parse_plan_key(*key_bytes);
+    if (!key) continue;
+    hot_.seed(*key, uses);
+  }
+}
+
+void PersistentPlanCache::flush_hot() {
+  const std::string path = dir_ + "/" + kHotFile;
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) return;
+    for (const store::HotShape& shape : hot_.top(0)) {
+      out << shape.uses << ' '
+          << store::base64_encode(store::serialize_plan_key(shape.key)) << '\n';
+    }
+    if (!out.flush()) {
+      ::unlink(tmp.c_str());
+      return;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) ::unlink(tmp.c_str());
 }
 
 namespace {
@@ -325,7 +357,7 @@ std::optional<u64> PersistentPlanCache::compact_store() {
     // Foreign magic or another schema version (e.g. a newer binary
     // rewrote the shared store since we loaded it): not ours to rewrite —
     // compacting from here would destroy every record the other schema's
-    // processes rely on. Bail; the caller treats this as "no room".
+    // processes rely on. Bail; the load keeps the store as it is.
     ::close(fd);
     return std::nullopt;
   }
@@ -355,9 +387,7 @@ std::optional<u64> PersistentPlanCache::compact_store() {
   }
 
   if (image.size() >= bytes.size()) {
-    // Nothing to reclaim: skip the byte-identical rewrite (an over-bound
-    // append against a store full of live records would otherwise pay a
-    // full-file read + write + rename on every request).
+    // Nothing to reclaim: skip the byte-identical rewrite.
     ::close(fd);
     return bytes.size();
   }
@@ -380,6 +410,7 @@ std::optional<u64> PersistentPlanCache::compact_store() {
 
 bool PersistentPlanCache::append(const PlanKey& key,
                                  std::shared_ptr<const Plan> plan) {
+  puts_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<const Plan> winner;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -394,52 +425,22 @@ bool PersistentPlanCache::append(const PlanKey& key,
     // hammering it would turn every planned miss into a blocking flock +
     // failing write).
     store_degraded_.fetch_add(1, std::memory_order_relaxed);
+    put_errors_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  // Serialize and write outside mu_ so concurrent find() calls never wait
+  // Serialize and write outside mu_ so concurrent get() calls never wait
   // on file I/O; io_mu_ orders this process's writes.
   const std::string record = store::serialize_plan_record(key, *winner);
   std::lock_guard<std::mutex> io_lock(io_mu_);
-  bool ok;
   int err = 0;
-  if (rewrite_on_next_append_) {
-    ok = recover_store(record);
-    if (ok) rewrite_on_next_append_ = false;
-  } else {
-    if (opt_.max_bytes != 0) {
-      // Size bound: compact before an append that would cross it; if the
-      // live set still leaves no room, serve the plan from memory only.
-      // A compaction that reclaimed nothing is remembered (the live-set
-      // size), so a store full of live records skips straight to the
-      // append-skip instead of re-scanning the whole file per request;
-      // any growth past that size means new (possibly dead) bytes and
-      // re-arms the compaction.
-      struct stat st{};
-      const u64 cur_size =
-          ::stat(store_path().c_str(), &st) == 0 ? u64(st.st_size) : 0;
-      if (cur_size + record.size() > opt_.max_bytes) {
-        bool have_room = false;
-        if (compact_futile_below_ == 0 || cur_size > compact_futile_below_) {
-          const auto compacted = compact_store();
-          if (compacted.has_value() &&
-              *compacted + record.size() <= opt_.max_bytes) {
-            have_room = true;
-          } else if (compacted.has_value()) {
-            compact_futile_below_ = *compacted;
-          }
-        }
-        if (!have_room) {
-          appends_skipped_.fetch_add(1, std::memory_order_relaxed);
-          return false;
-        }
-      }
-    }
-    ok = append_record(record, &err);
-  }
+  const bool ok = rewrite_on_next_append_ ? recover_store(record)
+                                          : append_record(record, &err);
   if (ok) {
+    rewrite_on_next_append_ = false;
     appended_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
+  put_errors_.fetch_add(1, std::memory_order_relaxed);
   if (is_fatal_store_errno(err)) {
     degraded_.store(true, std::memory_order_relaxed);
     store_degraded_.fetch_add(1, std::memory_order_relaxed);
@@ -455,22 +456,20 @@ void PersistentPlanCache::inject_append_errno_for_tests(int err, u32 times) {
   inject_errno_times_ = times;
 }
 
-std::size_t PersistentPlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return index_.size();
-}
-
-PersistentPlanCache::Stats PersistentPlanCache::stats() const {
-  Stats out;
+store::StoreLedger PersistentPlanCache::stats() const {
+  store::StoreLedger out = load_;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
+    out.entries = index_.size();
   }
+  out.gets = gets_.load(std::memory_order_relaxed);
   out.hits = hits_.load(std::memory_order_relaxed);
   out.misses = misses_.load(std::memory_order_relaxed);
+  out.puts = puts_.load(std::memory_order_relaxed);
+  out.put_errors = put_errors_.load(std::memory_order_relaxed);
+  out.hot_tracked = hot_.tracked();
   out.appended = appended_.load(std::memory_order_relaxed);
   out.compactions = compactions_.load(std::memory_order_relaxed);
-  out.appends_skipped = appends_skipped_.load(std::memory_order_relaxed);
   out.store_degraded = store_degraded_.load(std::memory_order_relaxed);
   out.degraded = degraded_.load(std::memory_order_relaxed);
   return out;

@@ -1,6 +1,6 @@
 // PersistentPlanCache: a checksummed, versioned on-disk plan store — the
-// disk tier under the sharded in-memory PlanCache, and the backend behind
-// the store::FileStore driver (src/store/file_store.hpp).
+// "file" driver of the store::PlanStore tier chain (src/store/plan_store.hpp)
+// and the disk tier under the sharded in-memory PlanCache.
 //
 // Planning is the expensive step of the serving path (a cold plan evaluates
 // every candidate's cost model and compiles + validates the winning
@@ -18,11 +18,20 @@
 //
 //   <dir>/plans.wsrpc
 //   header : magic "WSRPLANC" (8 bytes) | u32 endian tag 0x01020304
-//          | u32 schema version (kSchemaVersion)
+//          | u32 schema version (store::kSchemaVersion)
 //   record : u32 record magic | u64 payload size | u64 FNV-1a checksum
 //          | payload
 //   payload: serialized (PlanKey, Plan) — length-prefixed strings,
 //            fixed-width little-endian integers, f64 as bit pattern.
+//
+// Hot-shape use counters (note_use/scan, which order wsrd's boot prefetch)
+// persist across restarts in a human-greppable sidecar next to the store:
+//
+//   <dir>/hot.wsrh       one line per shape: "<uses> <base64(key)>\n"
+//
+// The sidecar is advisory, so its failure modes are all benign: a
+// missing/garbled file or undecodable line is skipped, and it is rewritten
+// whole via temp file + rename on destruction.
 //
 // Recovery rules (tests/test_persistent_cache.cpp pins each one):
 //   * header magic/endian/version mismatch -> the whole file is ignored
@@ -59,52 +68,18 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/plan_cache.hpp"
+#include "store/plan_store.hpp"
 
 namespace wsr::runtime {
 
-/// Serializes one (key, plan) record — frame + checksummed payload — ready
-/// to be appended to a store file. Exposed for tests and tooling; forwards
-/// to store::serialize_plan_record (the shared codec).
-std::string serialize_plan_record(const PlanKey& key, const Plan& plan);
-
-class PersistentPlanCache {
+class PersistentPlanCache : public store::PlanStore {
  public:
-  /// Bump when the record payload layout changes; older stores then load
-  /// as empty and are rewritten on the next append. Mirrors
-  /// store::kSchemaVersion (static_assert'd in the .cpp).
-  static constexpr u32 kSchemaVersion = 2;
-
-  struct Options {
-    /// Store-file size bound in bytes (0 = unbounded). An append that would
-    /// grow the file beyond the bound first compacts the store; if the live
-    /// record set still does not leave room, the record is *skipped* — it
-    /// stays served from this process's memory index, it is just not
-    /// durable (counted in stats().appends_skipped). The bound governs this
-    /// process's appends; concurrent writers can transiently overshoot by
-    /// one record each.
-    u64 max_bytes = 0;
-  };
-
-  struct Stats {
-    u64 loaded = 0;       ///< records restored at construction
-    u64 load_errors = 0;  ///< records dropped (checksum/decode/unknown algo)
-    u64 appended = 0;     ///< records written by this process
-    u64 hits = 0;         ///< find() calls answered from the index
-    u64 misses = 0;       ///< find() calls that came up empty
-    u64 compactions = 0;  ///< store rewrites (load-time or bound-triggered)
-    u64 appends_skipped = 0;  ///< records dropped by the max_bytes bound
-    /// Appends served memory-only because a fatal I/O errno (ENOSPC, EIO,
-    /// ...) degraded the store; includes the append that hit the errno.
-    u64 store_degraded = 0;
-    bool degraded = false;  ///< memory-only mode is permanently engaged
-    double load_seconds = 0;
-    u64 file_bytes = 0;  ///< store size at load time (post-compaction)
-  };
-
   /// Opens (creating if needed) the store directory and loads every valid
   /// record into the in-memory index. Never throws on a damaged store —
-  /// damage is counted in stats().load_errors and degrades to misses.
+  /// damage is counted in stats().load_errors and degrades to misses. The
+  /// hot-shape ranking is seeded from the sidecar, then from the store's
+  /// load order (so a fresh boot with no counters still prefetches in a
+  /// deterministic order: the order plans were first planned).
   ///
   /// Compaction: the store file is append-only, so dead bytes accumulate —
   /// duplicate keys from racing writers, records invalidated by renamed or
@@ -116,32 +91,44 @@ class PersistentPlanCache {
   /// per-process miss, not corruption — a process sharing the store may
   /// still serve them.
   explicit PersistentPlanCache(std::string dir);
-  PersistentPlanCache(std::string dir, Options opt);
+  /// Flushes the hot sidecar (best-effort: an I/O failure costs only
+  /// warm-up ordering).
+  ~PersistentPlanCache() override;
+  PersistentPlanCache(const PersistentPlanCache&) = delete;
+  PersistentPlanCache& operator=(const PersistentPlanCache&) = delete;
 
-  /// The cached plan for `key`, or nullptr. Thread-safe; does not touch
-  /// the disk (the index is loaded once at construction).
-  std::shared_ptr<const Plan> find(const PlanKey& key) const;
+  const char* kind() const override { return "file"; }
+  PlanSource source_tag() const override { return PlanSource::DiskHit; }
+
+  /// Index lookup: Hit or Miss, never Error/Timeout. Thread-safe; does not
+  /// touch the disk (the index is loaded once at construction, and disk
+  /// damage already degraded to misses there).
+  store::GetResult get(const PlanKey& key) override;
+
+  bool put(const PlanKey& key, std::shared_ptr<const Plan> plan) override {
+    return append(key, std::move(plan));
+  }
 
   /// Adds the plan to the index and appends its record to the store file
   /// (flock-serialized; creation and header-recovery rewrites go through a
   /// temp file + atomic rename). First writer wins on a duplicate key.
   /// Returns true when the record is durable on disk (or the key was
-  /// already present); false when the write was skipped (max_bytes),
-  /// failed, or the store is degraded — the plan is still served from the
-  /// index either way.
+  /// already present); false when the write failed or the store is
+  /// degraded — the plan is still served from the index either way.
   bool append(const PlanKey& key, std::shared_ptr<const Plan> plan);
 
-  std::size_t size() const;
-  Stats stats() const;
+  void note_use(const PlanKey& key) override { hot_.note(key); }
+  std::vector<store::HotShape> scan(std::size_t max) override {
+    return hot_.top(max);
+  }
+
+  /// The tier ledger plus the disk fields: entries, the load_* and
+  /// file_bytes figures of the load at construction, and the append-side
+  /// counters (appended, compactions, store_degraded, degraded).
+  store::StoreLedger stats() const override;
+
   const std::string& dir() const { return dir_; }
   std::string store_path() const;
-
-  /// Keys restored by load(), in file order (first record per key). Built
-  /// once at construction and immutable after — safe to read unlocked.
-  /// FileStore seeds its hot-shape ranking from this order.
-  const std::vector<PlanKey>& loaded_keys() const { return load_order_; }
-
-  bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
 
   /// Test hook: the next `times` physical appends fail as-if with `err`
   /// (before touching the file), so tests can pin the ENOSPC/EIO
@@ -150,6 +137,9 @@ class PersistentPlanCache {
 
  private:
   void load();
+  void load_hot();
+  /// Rewrites the hot sidecar via temp file + rename (best-effort).
+  void flush_hot();
   /// Appends `record` under the store flock. On failure the file is
   /// truncated back to its pre-append size (no torn tail) and *err_out
   /// carries the classifying errno (0 if unknown).
@@ -164,39 +154,30 @@ class PersistentPlanCache {
   std::optional<u64> compact_store();
 
   std::string dir_;
-  Options opt_;
 
   /// `mu_` guards the in-memory index (lookups stay lock-cheap); `io_mu_`
   /// serializes this process's file writes. Ordering: io_mu_ may take mu_
   /// (for the recovery snapshot), never the reverse.
   mutable std::mutex mu_;
   std::unordered_map<PlanKey, std::shared_ptr<const Plan>, PlanKeyHash> index_;
-  Stats stats_;  ///< load_* fields written only by load(); see stats()
-  std::vector<PlanKey> load_order_;  ///< written only by load()
+  /// loaded, load_errors, load_seconds and file_bytes; written only by
+  /// load() during construction, so stats() reads them unlocked.
+  store::StoreLedger load_;
+  store::HotTracker hot_;
 
-  /// Serving counters (find() is const and lock-cheap; these are the
-  /// persistent-tier hit/miss numbers wsr_plan --json and wsrd report).
-  mutable std::atomic<u64> hits_{0};
-  mutable std::atomic<u64> misses_{0};
-
-  /// `io_mu_` serializes writers; the write-side counters are atomics
-  /// (stored under io_mu_, loaded relaxed) so stats() never waits behind a
-  /// compaction or a cross-process flock — wsrd renders these counters
-  /// into every response.
+  /// Ledger counters: relaxed atomics, so get() stays lock-cheap and
+  /// stats() never waits behind a compaction or a cross-process flock —
+  /// wsrd renders these counters into every response.
+  std::atomic<u64> gets_{0}, hits_{0}, misses_{0};
+  std::atomic<u64> puts_{0}, put_errors_{0};
   mutable std::mutex io_mu_;
   std::atomic<u64> appended_{0};
   std::atomic<u64> compactions_{0};  ///< rewrites that actually shrank it
-  std::atomic<u64> appends_skipped_{0};
   std::atomic<u64> store_degraded_{0};
   std::atomic<bool> degraded_{false};
   /// Test fault injection (guarded by io_mu_).
   int inject_errno_ = 0;
   u32 inject_errno_times_ = 0;
-  /// Live-set size of the last compaction that left no room under
-  /// max_bytes: while the store is no larger than this, another
-  /// compaction cannot help, so over-bound appends skip straight to
-  /// appends_skipped_ instead of re-scanning the file. 0 = not set.
-  u64 compact_futile_below_ = 0;
   /// Set when load() found a header from another schema (or no valid
   /// header): the next append rewrites the whole store atomically instead
   /// of appending after unparseable bytes.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "runtime/persistent_plan_cache.hpp"
-#include "store/file_store.hpp"
 #include "store/plan_store.hpp"
 
 namespace wsr::runtime {
@@ -79,19 +77,11 @@ PlanKey PlanCache::key_for(const Planner& planner, const PlanRequest& req) {
           req.algorithm};
 }
 
-void PlanCache::attach_disk_store(PersistentPlanCache* disk) {
-  if (owned_file_tier_) {
-    tiers_.erase(std::remove(tiers_.begin(), tiers_.end(),
-                             owned_file_tier_.get()),
-                 tiers_.end());
-    owned_file_tier_.reset();
-  }
-  disk_ = disk;
-  if (disk == nullptr) return;
-  owned_file_tier_ = std::make_unique<store::FileStore>(*disk);
+void PlanCache::attach_disk_store(store::PlanStore* disk) {
+  file_tier_ = disk;
   // The local disk tier always resolves (and receives write-backs) before
   // any network tier.
-  tiers_.insert(tiers_.begin(), owned_file_tier_.get());
+  tiers_.insert(tiers_.begin(), disk);
 }
 
 void PlanCache::attach_tier(store::PlanStore* tier) {

@@ -24,7 +24,7 @@
 //
 // Tiering: under the memory tier sits an ordered chain of pluggable
 // store::PlanStore backends (src/store/plan_store.hpp) — in production
-// wiring a local FileStore (over PersistentPlanCache) and optionally a
+// wiring the local file store (PersistentPlanCache) and optionally a
 // fault-wrapped PeerStore. get_or_plan walks memory -> tiers in order ->
 // plan: the first tier Hit wins, is promoted into the memory tier, and is
 // written back to every earlier tier; a planned miss is put to every tier.
@@ -33,8 +33,6 @@
 // best-effort and tier *failures* are invisible: a tier reporting
 // Error/Timeout is treated exactly like a miss (strict fall-through), so a
 // dead peer degrades to disk and ultimately a fresh plan.
-// attach_disk_store remains as the one-tier convenience the CLI and tests
-// use; it wraps the disk store in an owned FileStore tier.
 #pragma once
 
 #include <atomic>
@@ -52,8 +50,6 @@ class PlanStore;
 }  // namespace store
 
 namespace runtime {
-
-class PersistentPlanCache;
 
 /// Which tier answered a get_or_plan call (serving provenance).
 enum class PlanSource : u8 {
@@ -89,8 +85,8 @@ struct PlanKeyHash {
 
 /// Thread-safety: every method is safe to call concurrently (per-shard
 /// mutexes; counters are relaxed atomics, so cross-counter reads are
-/// individually exact but not a consistent snapshot). attach_disk_store
-/// is the one exception — wire the tiers before serving starts.
+/// individually exact but not a consistent snapshot). The attach_* calls
+/// are the exception — wire the tiers before serving starts.
 class PlanCache {
  public:
   /// `max_entries` == 0 means unbounded; otherwise the bound is rounded up
@@ -103,17 +99,15 @@ class PlanCache {
   /// The cache key of a request as planned by `planner`.
   static PlanKey key_for(const Planner& planner, const PlanRequest& req);
 
-  /// Layers a persistent store (not owned; must outlive this cache) under
-  /// the memory tier, wrapped in an owned FileStore tier at the front of
-  /// the chain (replacing any previous attach_disk_store tier). Misses
-  /// then fall through to the store and planned results are appended to
-  /// it. Attach before serving begins — the chain is not synchronized.
-  void attach_disk_store(PersistentPlanCache* disk);
-  PersistentPlanCache* disk_store() const { return disk_; }
-  /// The owned FileStore tier created by attach_disk_store (nullptr until
-  /// then). The daemon resolves peering lookups and boot prefetch against
-  /// it directly, never through the network tiers.
-  store::PlanStore* file_tier() const { return owned_file_tier_.get(); }
+  /// Layers the local disk store (not owned; must outlive this cache) at
+  /// the front of the tier chain. Misses then fall through to the store
+  /// and planned results are appended to it. Attach at most once, before
+  /// serving begins — the chain is not synchronized.
+  void attach_disk_store(store::PlanStore* disk);
+  /// The attach_disk_store tier (nullptr until then). The daemon resolves
+  /// peering lookups and boot prefetch against it directly, never through
+  /// the network tiers; plan_cache_counters_json reads its ledger.
+  store::PlanStore* file_tier() const { return file_tier_; }
 
   /// Appends a backend tier (not owned; must outlive this cache) to the
   /// chain — e.g. a fault-wrapped PeerStore after the disk tier. Attach
@@ -186,11 +180,10 @@ class PlanCache {
   std::size_t max_entries_;
   std::size_t shard_capacity_;  ///< 0 = unbounded
   std::unique_ptr<Shard[]> shards_;
-  PersistentPlanCache* disk_ = nullptr;  ///< attach_disk_store's backing
   /// Ordered backend chain walked on memory misses. The attach_disk_store
-  /// tier (owned) always sits first; attach_tier appends.
+  /// tier always sits first; attach_tier appends.
   std::vector<store::PlanStore*> tiers_;
-  std::unique_ptr<store::PlanStore> owned_file_tier_;
+  store::PlanStore* file_tier_ = nullptr;
   std::atomic<u64> hits_{0};
   std::atomic<u64> misses_{0};
   std::atomic<u64> evictions_{0};

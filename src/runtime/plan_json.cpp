@@ -4,7 +4,7 @@
 
 #include "registry/algorithm_registry.hpp"
 #include "runtime/plan_cache.hpp"
-#include "runtime/persistent_plan_cache.hpp"
+#include "store/plan_store.hpp"
 #include "wse/export.hpp"
 #include "wse/fabric.hpp"
 
@@ -67,17 +67,17 @@ std::string plan_cache_counters_json(const PlanCache& cache) {
   std::string out = "\"plan_cache\":{\"hits\":" + std::to_string(cache.hits()) +
                     ",\"misses\":" + std::to_string(cache.misses()) +
                     ",\"evictions\":" + std::to_string(cache.evictions());
-  if (const PersistentPlanCache* disk = cache.disk_store()) {
-    // Persistent-tier counters, all from the store's own stats so the
+  if (const store::PlanStore* disk = cache.file_tier()) {
+    // Persistent-tier counters, all from the store's own ledger so the
     // tier is self-consistent (hits + misses = store lookups even when
     // something other than this PlanCache probes it) — --cache-dir
     // behaviour is observable end to end alongside the in-memory numbers
     // (docs/serving.md).
-    const PersistentPlanCache::Stats stats = disk->stats();
+    const store::StoreLedger stats = disk->stats();
     out += ",\"disk_hits\":" + std::to_string(stats.hits);
     out += ",\"disk_misses\":" + std::to_string(stats.misses);
     out += ",\"disk_appends\":" + std::to_string(stats.appended);
-    out += ",\"disk_entries\":" + std::to_string(disk->size());
+    out += ",\"disk_entries\":" + std::to_string(stats.entries);
   }
   out += "},";
   return out;

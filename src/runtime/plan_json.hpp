@@ -35,7 +35,7 @@ std::string plan_response_json(const PlanRequest& req, const Plan& plan,
 /// One JSON field "plan_cache":{"hits":..,"misses":..,"evictions":..[,disk]}
 /// with a trailing comma, ready for `extra_fields`. Persistent-tier
 /// counters (`disk_hits`, `disk_misses`, `disk_appends`, `disk_entries`,
-/// all from the store's own stats) appear only when a store is attached.
+/// all from the file tier's ledger) appear only when a store is attached.
 std::string plan_cache_counters_json(const PlanCache& cache);
 
 /// Parses "512" (a 1D row) or "64x64"; nullopt when malformed or either

@@ -42,13 +42,13 @@ Core::Core(const Options& opts)
     peer_ = std::make_unique<store::FaultTolerantStore>(*peer_raw_, policy);
     cache_.attach_tier(peer_.get());
   }
-  if (opts.prefetch > 0 && cache_.file_tier() != nullptr) {
+  if (opts.prefetch > 0 && disk_) {
     // Warm-up: promote the historically hottest shapes (persisted use
     // counters, then store-file order) into the memory tier before the
     // first request lands. Local tiers only — booting must not depend on
     // a peer.
-    for (const store::HotShape& hot : cache_.file_tier()->scan(opts.prefetch)) {
-      store::GetResult got = cache_.file_tier()->get(hot.key);
+    for (const store::HotShape& hot : disk_->scan(opts.prefetch)) {
+      store::GetResult got = disk_->get(hot.key);
       if (got.status != store::StoreStatus::Hit) continue;
       cache_.insert(hot.key, std::move(got.plan));
       ++prefetched_;
@@ -168,8 +168,8 @@ std::string Core::serve_cache_op(const Request& line,
     // Resolve against the local memory and file tiers only — never this
     // daemon's own peer, so lookups cannot cascade around a fleet.
     std::shared_ptr<const runtime::Plan> plan = cache_.find(*key);
-    if (plan == nullptr && cache_.file_tier() != nullptr) {
-      store::GetResult got = cache_.file_tier()->get(*key);
+    if (plan == nullptr && disk_) {
+      store::GetResult got = disk_->get(*key);
       if (got.status == store::StoreStatus::Hit) plan = std::move(got.plan);
     }
     if (plan == nullptr) return "{" + id_field + "\"hit\":false}\n";
@@ -205,9 +205,7 @@ std::string Core::serve_cache_op(const Request& line,
   }
   auto shared = std::make_shared<const runtime::Plan>(std::move(plan));
   std::shared_ptr<const runtime::Plan> winner = cache_.insert(key, shared);
-  if (winner.get() == shared.get() && cache_.file_tier() != nullptr) {
-    cache_.file_tier()->put(key, winner);
-  }
+  if (winner.get() == shared.get() && disk_) disk_->put(key, winner);
   return "{" + id_field + "\"ok\":true}\n";
 }
 
@@ -283,17 +281,18 @@ std::string Core::stats_json() {
   out += ",\"max\":" + std::to_string(m.latency.max_us());
   out += "}}";
 
+  // One snapshot of the disk tier's ledger feeds both the "disk" section
+  // and the tier's entry below, so their hits/misses always agree.
+  const store::StoreLedger s = disk_ ? disk_->stats() : store::StoreLedger{};
   if (disk_) {
-    const auto s = disk_->stats();
     out += ",\"disk\":{\"dir\":\"" + json_escape(disk_->dir()) + "\"";
-    out += ",\"entries\":" + std::to_string(disk_->size());
+    out += ",\"entries\":" + std::to_string(s.entries);
     out += ",\"loaded\":" + std::to_string(s.loaded);
     out += ",\"load_errors\":" + std::to_string(s.load_errors);
     out += ",\"hits\":" + std::to_string(s.hits);
     out += ",\"misses\":" + std::to_string(s.misses);
     out += ",\"appended\":" + std::to_string(s.appended);
     out += ",\"compactions\":" + std::to_string(s.compactions);
-    out += ",\"appends_skipped\":" + std::to_string(s.appends_skipped);
     std::snprintf(buf, sizeof buf, "%.6f", s.load_seconds);
     out += ",\"load_seconds\":";
     out += buf;
@@ -309,13 +308,9 @@ std::string Core::stats_json() {
   out += ",\"cache_puts\":" + std::to_string(cache_puts_.load());
   out += ",\"invalid_plans\":" + std::to_string(invalid_plans_.load());
   out += ",\"tiers\":[";
-  bool first = true;
-  if (store::PlanStore* file = cache_.file_tier()) {
-    out += ledger_json(file->kind(), file->stats());
-    first = false;
-  }
+  if (disk_) out += ledger_json(disk_->kind(), s);
   if (peer_) {
-    if (!first) out += ",";
+    if (disk_) out += ",";
     out += ledger_json(peer_->kind(), peer_->stats());
   }
   out += "]}";

@@ -91,8 +91,6 @@ class Core {
   };
 
   explicit Core(const Options& opts);
-  Core(std::size_t max_entries, const std::string& cache_dir, u32 jobs)
-      : Core(Options{max_entries, cache_dir, jobs, {}, 250, 1, false, 0}) {}
 
   /// Plans one batch of parsed requests and returns the response bytes in
   /// input order (one '\n'-terminated JSON object per line). The batch's
@@ -108,9 +106,6 @@ class Core {
 
   Metrics& metrics() { return metrics_; }
   const runtime::PersistentPlanCache* disk() const { return disk_.get(); }
-  /// The peer tier's breaker state, for tests and the stats verb (nullptr
-  /// when no peer is configured).
-  const store::FaultTolerantStore* peer_tier() const { return peer_.get(); }
   std::size_t prefetched() const { return prefetched_; }
 
  private:

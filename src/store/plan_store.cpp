@@ -57,36 +57,4 @@ u64 HotTracker::tracked() const {
   return counts_.size();
 }
 
-GetResult MemoryStore::get(const PlanKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++gets_;
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++misses_;
-    return {StoreStatus::Miss, nullptr};
-  }
-  ++hits_;
-  return {StoreStatus::Hit, it->second};
-}
-
-bool MemoryStore::put(const PlanKey& key, std::shared_ptr<const Plan> plan) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++puts_;
-  map_.try_emplace(key, std::move(plan));  // first writer wins, like the file
-  return true;
-}
-
-StoreLedger MemoryStore::stats() const {
-  StoreLedger ledger;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ledger.gets = gets_;
-    ledger.hits = hits_;
-    ledger.misses = misses_;
-    ledger.puts = puts_;
-  }
-  ledger.hot_tracked = hot_.tracked();
-  return ledger;
-}
-
 }  // namespace wsr::store

@@ -1,14 +1,15 @@
 // PlanStore: the pluggable backend interface of the plan cache hierarchy.
 //
-// PR 4 gave the sharded in-memory PlanCache one hard-wired disk tier
-// (PersistentPlanCache). This interface makes the tier chain pluggable in
-// the style of dovecot's lib-dict — one API, many drivers:
+// The tier chain under the sharded in-memory PlanCache is pluggable in the
+// style of dovecot's lib-dict — one API, two drivers and one policy wrapper:
 //
-//   FileStore           the flock'd on-disk store (wraps PersistentPlanCache)
-//   PeerStore           another wsrd daemon over cache_get/cache_put NDJSON
-//   FaultTolerantStore  policy wrapper: deadlines, retries, circuit breaker
-//   FlakyStore          deterministic fault injection for tests
-//   MemoryStore         a plain map (tests, and the smallest example driver)
+//   PersistentPlanCache  the flock'd on-disk store, kind "file"
+//                        (runtime/persistent_plan_cache.hpp)
+//   PeerStore            another wsrd daemon over cache_get/cache_put NDJSON
+//   FaultTolerantStore   policy wrapper: deadlines, retries, circuit breaker
+//
+// The test doubles (a plain map and a fault injector) live with the tests
+// in tests/store_fakes.hpp.
 //
 // PlanCache walks an ordered chain of these on a memory miss (runtime/
 // plan_cache.hpp): the first Hit wins, is promoted into memory, and is
@@ -53,8 +54,8 @@ struct GetResult {
 
 /// Per-tier serving ledger: a consistent-enough snapshot of relaxed
 /// counters (each value is individually exact). The breaker_* fields are
-/// only maintained by FaultTolerantStore; drivers leave them zero and
-/// breaker_state empty.
+/// only maintained by FaultTolerantStore and the disk fields only by the
+/// file driver; other drivers leave them zero and breaker_state empty.
 struct StoreLedger {
   u64 gets = 0;
   u64 hits = 0;
@@ -68,10 +69,24 @@ struct StoreLedger {
   u64 breaker_fastfails = 0;  ///< ops answered without touching the backend
   u64 hot_tracked = 0;        ///< distinct keys with use counters
   std::string breaker_state;  ///< "closed" | "open" | "half_open"; "" = none
+
+  // Disk fields (the file driver).
+  u64 entries = 0;      ///< plans in the store's index
+  u64 loaded = 0;       ///< records restored at construction
+  u64 load_errors = 0;  ///< records dropped (checksum/decode/unknown algo)
+  u64 appended = 0;     ///< records written by this process
+  u64 compactions = 0;  ///< load-time store rewrites
+  /// Appends served memory-only because a fatal I/O errno (ENOSPC, EIO,
+  /// ...) degraded the store; includes the append that hit the errno.
+  u64 store_degraded = 0;
+  bool degraded = false;  ///< memory-only mode is permanently engaged
+  double load_seconds = 0;
+  u64 file_bytes = 0;  ///< store size at load time (post-compaction)
 };
 
 /// One entry of a hot-shape scan: a key and how often this process (plus,
-/// for FileStore, prior processes via the persisted sidecar) asked for it.
+/// for the file driver, prior processes via the persisted sidecar) asked
+/// for it.
 struct HotShape {
   PlanKey key;
   u64 uses = 0;
@@ -81,7 +96,7 @@ class PlanStore {
  public:
   virtual ~PlanStore() = default;
 
-  /// Driver name for ledgers and logs ("file", "peer", "flaky", ...).
+  /// Driver name for ledgers and logs ("file", "peer", ...).
   virtual const char* kind() const = 0;
 
   /// The provenance value a hit in this store reports (PlanSource::DiskHit
@@ -109,7 +124,7 @@ class PlanStore {
 /// Use-count tracking shared by drivers that implement note_use/scan.
 /// Thread-safe; ranking is (uses desc, first-seen asc) so a boot-time scan
 /// — before any request has been counted — still yields a deterministic
-/// order (FileStore seeds first-seen from the store-file load order).
+/// order (the file driver seeds first-seen from the store-file load order).
 class HotTracker {
  public:
   void note(const PlanKey& key);
@@ -126,27 +141,6 @@ class HotTracker {
   mutable std::mutex mu_;
   std::unordered_map<PlanKey, Slot, PlanKeyHash> counts_;
   u64 next_order_ = 0;
-};
-
-/// The simplest driver: a mutex-guarded map. The reference backend for
-/// FlakyStore-based tests, and the smallest example of the interface.
-class MemoryStore : public PlanStore {
- public:
-  const char* kind() const override { return "memory"; }
-  runtime::PlanSource source_tag() const override {
-    return runtime::PlanSource::DiskHit;
-  }
-  GetResult get(const PlanKey& key) override;
-  bool put(const PlanKey& key, std::shared_ptr<const Plan> plan) override;
-  void note_use(const PlanKey& key) override { hot_.note(key); }
-  std::vector<HotShape> scan(std::size_t max) override { return hot_.top(max); }
-  StoreLedger stats() const override;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<PlanKey, std::shared_ptr<const Plan>, PlanKeyHash> map_;
-  HotTracker hot_;
-  mutable u64 gets_ = 0, hits_ = 0, misses_ = 0, puts_ = 0;
 };
 
 }  // namespace wsr::store

@@ -229,7 +229,7 @@ TEST(PersistentPlanCache, SchemaVersionBumpIsACleanMissAndRecovers) {
   PersistentPlanCache reopened(dir.str());
   EXPECT_EQ(reopened.stats().loaded, 0u);
   EXPECT_GE(reopened.stats().load_errors, 1u);
-  EXPECT_EQ(reopened.size(), 0u);
+  EXPECT_EQ(reopened.stats().entries, 0u);
 
   // ...and the next append atomically rewrites it under the current schema.
   PlanCache memory;
@@ -239,7 +239,7 @@ TEST(PersistentPlanCache, SchemaVersionBumpIsACleanMissAndRecovers) {
   PersistentPlanCache recovered(dir.str());
   EXPECT_EQ(recovered.stats().loaded, 1u);
   EXPECT_EQ(recovered.stats().load_errors, 0u);
-  EXPECT_NE(recovered.find(PlanCache::key_for(planner, reduce_req(8, 16))),
+  EXPECT_NE(recovered.get(PlanCache::key_for(planner, reduce_req(8, 16))).plan,
             nullptr);
 }
 
@@ -279,7 +279,7 @@ TEST(PersistentPlanCache, RecordsNamingUnknownAlgorithmsAreSkipped) {
   PersistentPlanCache reopened(dir.str());
   EXPECT_EQ(reopened.stats().loaded, 1u);
   EXPECT_EQ(reopened.stats().load_errors, 1u);
-  EXPECT_NE(reopened.find(PlanCache::key_for(planner, real)), nullptr);
+  EXPECT_NE(reopened.get(PlanCache::key_for(planner, real)).plan, nullptr);
 }
 
 TEST(PersistentPlanCache, ConcurrentWritersLoseNoValidRecords) {
@@ -312,9 +312,9 @@ TEST(PersistentPlanCache, ConcurrentWritersLoseNoValidRecords) {
   // flock-serialized appends mean no interleaved/torn records).
   PersistentPlanCache reopened(dir.str());
   EXPECT_EQ(reopened.stats().load_errors, 0u);
-  EXPECT_EQ(reopened.size(), shapes.size());
+  EXPECT_EQ(reopened.stats().entries, shapes.size());
   for (const PlanRequest& req : shapes) {
-    const auto restored = reopened.find(PlanCache::key_for(planner, req));
+    const auto restored = reopened.get(PlanCache::key_for(planner, req)).plan;
     ASSERT_NE(restored, nullptr);
     const Plan direct = planner.plan(req);
     EXPECT_EQ(restored->algorithm, direct.algorithm);
@@ -326,12 +326,12 @@ TEST(PersistentPlanCache, ConcurrentWritersLoseNoValidRecords) {
 TEST(PersistentPlanCache, EmptyAndMissingStoresLoadCleanly) {
   TempDir dir;
   PersistentPlanCache fresh(dir.str() + "/fresh_subdir");  // dir is created
-  EXPECT_EQ(fresh.size(), 0u);
+  EXPECT_EQ(fresh.stats().entries, 0u);
 
   // A zero-byte file (crash before the header landed) is also clean.
   write_file(fs::path(dir.str()) / "plans.wsrpc", "");
   PersistentPlanCache empty(dir.str());
-  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.stats().entries, 0u);
   EXPECT_EQ(empty.stats().load_errors, 0u);
 }
 
@@ -367,96 +367,6 @@ TEST(PersistentPlanCache, LoadCompactsWhenDeadBytesExceedHalfTheFile) {
   PersistentPlanCache reopened(dir.str());
   EXPECT_EQ(reopened.stats().loaded, spans.size());
   EXPECT_EQ(reopened.stats().compactions, 0u);
-}
-
-TEST(PersistentPlanCache, MaxBytesBoundCompactsThenSkipsAppends) {
-  TempDir dir;
-  const Planner planner(16);
-  const PlanRequest req_a = reduce_req(8, 16);
-  const PlanRequest req_b = reduce_req(16, 64);
-
-  // Measure the store size with just req_a's record on disk.
-  {
-    PersistentPlanCache seed(dir.str());
-    seed.append(PlanCache::key_for(planner, req_a),
-                std::make_shared<const Plan>(planner.plan(req_a)));
-  }
-  const fs::path store = fs::path(dir.str()) / "plans.wsrpc";
-  const u64 bound = read_file(store).size();
-
-  fs::remove(store);
-  PersistentPlanCache bounded(dir.str(),
-                              PersistentPlanCache::Options{.max_bytes = bound});
-  bounded.append(PlanCache::key_for(planner, req_a),
-                 std::make_shared<const Plan>(planner.plan(req_a)));
-  EXPECT_EQ(bounded.stats().appended, 1u);
-
-  // The second record would cross the bound; compaction finds no dead
-  // bytes to reclaim (so no rewrite happens, and compactions stays 0) and
-  // the append is skipped — served from memory, just not durable.
-  bounded.append(PlanCache::key_for(planner, req_b),
-                 std::make_shared<const Plan>(planner.plan(req_b)));
-  // A third over-bound append hits the futility memo (the live set is
-  // known to leave no room) and skips without re-scanning the store.
-  const PlanRequest req_c = reduce_req(8, 32);
-  bounded.append(PlanCache::key_for(planner, req_c),
-                 std::make_shared<const Plan>(planner.plan(req_c)));
-  const auto stats = bounded.stats();
-  EXPECT_EQ(stats.appended, 1u);
-  EXPECT_EQ(stats.appends_skipped, 2u);
-  EXPECT_EQ(stats.compactions, 0u);  // nothing was reclaimed, no rewrite
-  EXPECT_LE(read_file(store).size(), bound);
-  // This process still serves req_b (memory index)...
-  EXPECT_NE(bounded.find(PlanCache::key_for(planner, req_b)), nullptr);
-  // ...but a restart only sees the durable record.
-  PersistentPlanCache reopened(dir.str());
-  EXPECT_NE(reopened.find(PlanCache::key_for(planner, req_a)), nullptr);
-  EXPECT_EQ(reopened.find(PlanCache::key_for(planner, req_b)), nullptr);
-}
-
-TEST(PersistentPlanCache, BoundedAppendReclaimsDeadBytesBeforeSkipping) {
-  TempDir dir;
-  const Planner planner(16);
-  const PlanRequest req_a = reduce_req(8, 16);
-  const PlanRequest req_b = reduce_req(16, 64);
-  const auto key_a = PlanCache::key_for(planner, req_a);
-  const auto key_b = PlanCache::key_for(planner, req_b);
-  const auto plan_a = std::make_shared<const Plan>(planner.plan(req_a));
-  const auto plan_b = std::make_shared<const Plan>(planner.plan(req_b));
-
-  // Size a bound that fits both records exactly (header + a + b).
-  {
-    PersistentPlanCache seed(dir.str());
-    seed.append(key_a, plan_a);
-    seed.append(key_b, plan_b);
-  }
-  const fs::path store = fs::path(dir.str()) / "plans.wsrpc";
-  const std::string clean = read_file(store);
-  const u64 bound = clean.size();
-
-  // Leave exactly one duplicate of record a on disk: not enough dead
-  // weight to trigger the load-time compaction (<= half the file), but
-  // enough that appending record b crosses the bound — the bounded append
-  // must compact the duplicate away and then have room, not skip.
-  const auto spans = record_spans(clean);
-  ASSERT_EQ(spans.size(), 2u);
-  std::string bloated = clean.substr(0, spans[0].second);  // header + a
-  bloated.append(clean, spans[0].first, spans[0].second - spans[0].first);
-  write_file(store, bloated);
-  ASSERT_GT(bloated.size() + (spans[1].second - spans[1].first), bound);
-
-  PersistentPlanCache bounded(dir.str(),
-                              PersistentPlanCache::Options{.max_bytes = bound});
-  ASSERT_EQ(bounded.stats().compactions, 0u);  // load left the store alone
-  bounded.append(key_b, plan_b);
-  const auto stats = bounded.stats();
-  EXPECT_EQ(stats.appended, 1u);
-  EXPECT_EQ(stats.appends_skipped, 0u);
-  EXPECT_EQ(stats.compactions, 1u);
-  EXPECT_LE(read_file(store).size(), bound);
-  PersistentPlanCache reopened(dir.str());
-  EXPECT_NE(reopened.find(key_a), nullptr);
-  EXPECT_NE(reopened.find(key_b), nullptr);
 }
 
 TEST(PersistentPlanCache, CompactionPreservesRecordsOfUnknownAlgorithms) {
@@ -508,18 +418,21 @@ TEST(PersistentPlanCache, CompactionPreservesRecordsOfUnknownAlgorithms) {
   EXPECT_EQ(read_file(store), clean);
 }
 
-TEST(PersistentPlanCache, FindCountsHitsAndMisses) {
+TEST(PersistentPlanCache, GetCountsHitsAndMisses) {
   TempDir dir;
   const Planner planner(16);
   PersistentPlanCache disk(dir.str());
   const auto key = PlanCache::key_for(planner, reduce_req(8, 16));
-  EXPECT_EQ(disk.find(key), nullptr);
+  EXPECT_EQ(disk.get(key).status, store::StoreStatus::Miss);
   disk.append(key, std::make_shared<const Plan>(planner.plan(reduce_req(8, 16))));
-  EXPECT_NE(disk.find(key), nullptr);
-  EXPECT_NE(disk.find(key), nullptr);
+  EXPECT_EQ(disk.get(key).status, store::StoreStatus::Hit);
+  EXPECT_NE(disk.get(key).plan, nullptr);
   const auto stats = disk.stats();
+  EXPECT_EQ(stats.gets, 3u);
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.puts, 1u);
+  EXPECT_EQ(stats.entries, 1u);
 }
 
 }  // namespace

@@ -22,14 +22,14 @@
 #include <optional>
 #include <thread>
 
+#include "common/minijson.hpp"
 #include "runtime/persistent_plan_cache.hpp"
 #include "serving/core.hpp"
 #include "serving/request.hpp"
 #include "store/fault_tolerant_store.hpp"
-#include "store/file_store.hpp"
-#include "store/flaky_store.hpp"
 #include "store/peer_store.hpp"
 #include "store/record.hpp"
+#include "store_fakes.hpp"
 
 namespace wsr::store {
 namespace {
@@ -186,13 +186,12 @@ TEST(HotTracker, RanksByUsesThenFirstSeen) {
   EXPECT_EQ(hot.tracked(), 3u);
 }
 
-TEST(FileStore, HotSidecarPersistsAcrossReopen) {
+TEST(FileTier, HotSidecarPersistsAcrossReopen) {
   TempDir dir;
   const PlanRequest hot_req = reduce_req(8, 16);
   const PlanRequest cold_req = reduce_req(4, 16);
   {
-    runtime::PersistentPlanCache disk(dir.str());
-    FileStore file(disk);
+    runtime::PersistentPlanCache file(dir.str());
     file.put(key_of(hot_req), plan_of(hot_req));
     file.put(key_of(cold_req), plan_of(cold_req));
     for (int i = 0; i < 5; ++i) file.note_use(key_of(hot_req));
@@ -200,8 +199,7 @@ TEST(FileStore, HotSidecarPersistsAcrossReopen) {
   }  // dtor flushes <dir>/hot.wsrh
   ASSERT_TRUE(fs::exists(dir.path / "hot.wsrh"));
   {
-    runtime::PersistentPlanCache disk(dir.str());
-    FileStore file(disk);
+    runtime::PersistentPlanCache file(dir.str());
     const auto top = file.scan(0);
     ASSERT_EQ(top.size(), 2u);
     EXPECT_EQ(top[0].key, key_of(hot_req));
@@ -212,18 +210,17 @@ TEST(FileStore, HotSidecarPersistsAcrossReopen) {
   }
 }
 
-TEST(FileStore, GarbledSidecarIsAdvisory) {
+TEST(FileTier, GarbledSidecarIsAdvisory) {
   TempDir dir;
   const PlanRequest req = reduce_req(8, 16);
   {
-    runtime::PersistentPlanCache disk(dir.str());
-    FileStore file(disk);
+    runtime::PersistentPlanCache file(dir.str());
     file.put(key_of(req), plan_of(req));
   }
   std::ofstream(dir.path / "hot.wsrh", std::ios::trunc)
       << "not-a-count !!!\n9 @@not-base64@@\n7 AAAA\n";
-  runtime::PersistentPlanCache disk(dir.str());
-  FileStore file(disk);  // must not throw; bad lines skipped
+  // Must not throw; bad lines are skipped.
+  runtime::PersistentPlanCache file(dir.str());
   // The store's own keys are still seeded (from load order).
   const auto top = file.scan(0);
   ASSERT_EQ(top.size(), 1u);
@@ -238,12 +235,12 @@ TEST(PersistentCache, FatalAppendErrnoDegradesToMemoryOnly) {
   runtime::PersistentPlanCache disk(dir.str());
   const PlanRequest first = reduce_req(8, 16);
   ASSERT_TRUE(disk.append(key_of(first), plan_of(first)));
-  ASSERT_FALSE(disk.degraded());
+  ASSERT_FALSE(disk.stats().degraded);
 
   disk.inject_append_errno_for_tests(ENOSPC, 1);
   const PlanRequest second = reduce_req(4, 16);
   EXPECT_FALSE(disk.append(key_of(second), plan_of(second)));
-  EXPECT_TRUE(disk.degraded());
+  EXPECT_TRUE(disk.stats().degraded);
   // Degraded is permanent for the process: later appends fail fast and are
   // counted, with no further I/O attempted.
   const PlanRequest third = reduce_req(16, 16);
@@ -258,7 +255,7 @@ TEST(PersistentCache, FatalAppendErrnoDegradesToMemoryOnly) {
   const auto rs = reopened.stats();
   EXPECT_EQ(rs.loaded, 1u);
   EXPECT_EQ(rs.load_errors, 0u);
-  EXPECT_NE(reopened.find(key_of(first)), nullptr);
+  EXPECT_NE(reopened.get(key_of(first)).plan, nullptr);
 }
 
 TEST(PersistentCache, TransientErrnoDoesNotDegrade) {
@@ -267,7 +264,7 @@ TEST(PersistentCache, TransientErrnoDoesNotDegrade) {
   disk.inject_append_errno_for_tests(EINTR, 1);
   const PlanRequest req = reduce_req(8, 16);
   EXPECT_FALSE(disk.append(key_of(req), plan_of(req)));
-  EXPECT_FALSE(disk.degraded());  // EINTR is not a fatal storage errno
+  EXPECT_FALSE(disk.stats().degraded);  // EINTR is not a fatal storage errno
   const PlanRequest next = reduce_req(4, 16);
   EXPECT_TRUE(disk.append(key_of(next), plan_of(next)));
 }
@@ -774,8 +771,7 @@ TEST(ServingCacheVerbs, DiskRestoreIsRevalidatedBeforeServing) {
   {
     // Seed the persistent tier with a poisoned record under the exact key
     // a plan request resolves to: decodes fine, fails flow-level checks.
-    runtime::PersistentPlanCache disk(dir.str());
-    FileStore file(disk);
+    runtime::PersistentPlanCache file(dir.str());
     auto bad = std::make_shared<Plan>(*plan_of(req));
     for (auto& pe_rules : bad->schedule.rules) {
       if (!pe_rules.empty()) {
@@ -803,8 +799,7 @@ TEST(ServingCacheVerbs, PrefetchWarmsHottestShapes) {
   const PlanRequest hot_req = reduce_req(8, 16);
   const PlanRequest cold_req = reduce_req(4, 16);
   {
-    runtime::PersistentPlanCache disk(dir.str());
-    FileStore file(disk);
+    runtime::PersistentPlanCache file(dir.str());
     file.put(key_of(hot_req), plan_of(hot_req));
     file.put(key_of(cold_req), plan_of(cold_req));
     for (int i = 0; i < 3; ++i) file.note_use(key_of(hot_req));
@@ -821,6 +816,102 @@ TEST(ServingCacheVerbs, PrefetchWarmsHottestShapes) {
       "{\"collective\":\"reduce\",\"grid\":\"8\",\"bytes\":64}"));
   const std::string out = core.serve_batch(batch);
   EXPECT_NE(out.find("\"cache_tier\":\"memory\""), std::string::npos) << out;
+}
+
+// --- disk tier wire fields ---------------------------------------------------
+
+json::Value parse_line(const std::string& line) {
+  std::string error;
+  std::optional<json::Value> v = json::parse(line, &error);
+  EXPECT_TRUE(v.has_value()) << error << ": " << line;
+  return v.value_or(json::Value{});
+}
+
+std::vector<std::string> keys_of(const json::Value* obj) {
+  std::vector<std::string> keys;
+  if (obj != nullptr) {
+    for (const auto& [key, value] : obj->object) keys.push_back(key);
+  }
+  return keys;
+}
+
+u64 uint_of(const json::Value* obj, const char* key) {
+  return obj != nullptr ? obj->get_uint(key).value_or(~u64{0}) : ~u64{0};
+}
+
+TEST(DiskTierWire, StatsAndPlanCacheFieldsArePinned) {
+  TempDir dir;
+  const std::string warm_line =
+      "{\"collective\":\"reduce\",\"grid\":\"8\",\"bytes\":64}";
+  const std::string cold_line =
+      "{\"collective\":\"reduce\",\"grid\":\"4\",\"bytes\":64}";
+  serving::Core::Options opts;
+  opts.cache_dir = dir.str();
+  {
+    serving::Core seeding(opts);
+    serve_one(seeding, warm_line);
+  }
+  const u64 seeded_bytes = fs::file_size(dir.path / "plans.wsrpc");
+
+  serving::Core core(opts);
+  const json::Value cold = parse_line(serve_one(core, cold_line));
+  const json::Value warm = parse_line(serve_one(core, warm_line));
+  const json::Value stats = parse_line(serve_one(core, "{\"verb\":\"stats\"}"));
+  EXPECT_EQ(cold.get_string("cache_tier"), "planned");
+  EXPECT_EQ(warm.get_string("cache_tier"), "disk");
+
+  const std::vector<std::string> counter_keys = {
+      "hits",        "misses",       "evictions",   "disk_hits",
+      "disk_misses", "disk_appends", "disk_entries"};
+  // {disk_hits, disk_misses, disk_appends, disk_entries} after each line.
+  const std::vector<std::pair<const json::Value*, std::vector<u64>>> expected =
+      {{cold.get("plan_cache"), {0, 1, 1, 2}},
+       {warm.get("plan_cache"), {1, 1, 1, 2}}};
+  for (const auto& [counters, want] : expected) {
+    EXPECT_EQ(keys_of(counters), counter_keys);
+    EXPECT_EQ(uint_of(counters, "disk_hits"), want[0]);
+    EXPECT_EQ(uint_of(counters, "disk_misses"), want[1]);
+    EXPECT_EQ(uint_of(counters, "disk_appends"), want[2]);
+    EXPECT_EQ(uint_of(counters, "disk_entries"), want[3]);
+  }
+
+  const json::Value* body = stats.get("stats");
+  ASSERT_NE(body, nullptr);
+  const json::Value* disk = body->get("disk");
+  EXPECT_EQ(keys_of(disk),
+            (std::vector<std::string>{"dir", "entries", "loaded", "load_errors",
+                                      "hits", "misses", "appended",
+                                      "compactions", "load_seconds",
+                                      "file_bytes"}));
+  ASSERT_NE(disk, nullptr);
+  EXPECT_EQ(disk->get_string("dir"), dir.str());
+  EXPECT_EQ(uint_of(disk, "entries"), 2u);
+  EXPECT_EQ(uint_of(disk, "loaded"), 1u);
+  EXPECT_EQ(uint_of(disk, "load_errors"), 0u);
+  EXPECT_EQ(uint_of(disk, "appended"), 1u);
+  EXPECT_EQ(uint_of(disk, "compactions"), 0u);
+  EXPECT_EQ(uint_of(disk, "file_bytes"), seeded_bytes);
+
+  const json::Value* file = nullptr;
+  const json::Value* store_section = body->get("store");
+  ASSERT_NE(store_section, nullptr);
+  const json::Value* tiers = store_section->get("tiers");
+  ASSERT_NE(tiers, nullptr);
+  for (const json::Value& tier : tiers->array) {
+    if (tier.get_string("kind") == "file") file = &tier;
+  }
+  EXPECT_EQ(keys_of(file),
+            (std::vector<std::string>{"kind", "gets", "hits", "misses",
+                                      "errors", "timeouts", "puts",
+                                      "put_errors", "retries", "breaker_trips",
+                                      "breaker_fastfails", "hot_tracked"}));
+  EXPECT_EQ(uint_of(disk, "hits"), 1u);
+  EXPECT_EQ(uint_of(disk, "misses"), 1u);
+  EXPECT_EQ(uint_of(disk, "hits"), uint_of(file, "hits"));
+  EXPECT_EQ(uint_of(disk, "misses"), uint_of(file, "misses"));
+  EXPECT_EQ(uint_of(file, "gets"), 2u);
+  EXPECT_EQ(uint_of(file, "puts"), 1u);
+  EXPECT_EQ(uint_of(file, "hot_tracked"), 2u);
 }
 
 }  // namespace

@@ -250,9 +250,9 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(bytes));
   std::fprintf(stderr, "algorithm  : %s\n", plan.algorithm.c_str());
   if (disk != nullptr) {
-    std::fprintf(stderr, "cache tier : %s (%s: %zu plans)\n",
+    std::fprintf(stderr, "cache tier : %s (%s: %llu plans)\n",
                  runtime::name(tier), disk->store_path().c_str(),
-                 disk->size());
+                 static_cast<unsigned long long>(disk->stats().entries));
   }
   std::fprintf(stderr, "predicted  : %lld cycles (%.3f us at %.0f MHz)\n",
                static_cast<long long>(plan.prediction.cycles),
