@@ -32,6 +32,9 @@ std::atomic<unsigned long long> g_alloc_bytes{0};
 unsigned long long alloc_count() {
   return g_allocs.load(std::memory_order_relaxed);
 }
+unsigned long long alloc_bytes() {
+  return g_alloc_bytes.load(std::memory_order_relaxed);
+}
 }  // namespace
 
 // GCC pairs new-expressions against the replaced global delete below and
@@ -228,16 +231,30 @@ static void BM_FlowSimChain(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowSimChain)->Arg(64)->Arg(256)->Arg(512);
 
-static void BM_FlowSimWaferScaleSnake(benchmark::State& state) {
-  const wse::Schedule s = collectives::make_reduce_2d_snake({512, 512}, 64);
+// One wafer-scale run_flow call per iteration, engine construction
+// included. `allocs` and `alloc_mb` (MiB, bytes / 2^20) count the heap
+// allocations of the last call: the engine's lane, op and segment storage
+// is what sets a wafer sweep's resident memory, one engine per worker.
+static void BM_FlowSimWaferScaleCell(benchmark::State& state,
+                                     const wse::Schedule& s) {
   unsigned long long run_allocs = 0;
+  unsigned long long run_bytes = 0;
   for (auto _ : state) {
-    const unsigned long long before = alloc_count();
+    const unsigned long long allocs_before = alloc_count();
+    const unsigned long long bytes_before = alloc_bytes();
     benchmark::DoNotOptimize(flowsim::run_flow(s).cycles);
-    run_allocs = alloc_count() - before;
+    run_allocs = alloc_count() - allocs_before;
+    run_bytes = alloc_bytes() - bytes_before;
   }
   state.counters["allocs"] = static_cast<double>(run_allocs);
+  state.counters["alloc_mb"] =
+      static_cast<double>(run_bytes) / (1024.0 * 1024.0);
   state.SetLabel("262,144 PEs");
+}
+
+static void BM_FlowSimWaferScaleSnake(benchmark::State& state) {
+  BM_FlowSimWaferScaleCell(state,
+                           collectives::make_reduce_2d_snake({512, 512}, 64));
 }
 BENCHMARK(BM_FlowSimWaferScaleSnake)->Unit(benchmark::kMillisecond);
 
@@ -245,12 +262,9 @@ BENCHMARK(BM_FlowSimWaferScaleSnake)->Unit(benchmark::kMillisecond);
 // Dominated by segment propagation through 262,144 routers; the lazy
 // vector-FIFO rewrite of FlowSim cut it ~10x.
 static void BM_FlowSimWaferScaleSnakeBcast(benchmark::State& state) {
-  const wse::Schedule s = collectives::make_allreduce_2d_snake_bcast(
-      {512, 512}, static_cast<u32>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(flowsim::run_flow(s).cycles);
-  }
-  state.SetLabel("262,144 PEs");
+  BM_FlowSimWaferScaleCell(
+      state, collectives::make_allreduce_2d_snake_bcast(
+                 {512, 512}, static_cast<u32>(state.range(0))));
 }
 BENCHMARK(BM_FlowSimWaferScaleSnakeBcast)
     ->Arg(64)->Arg(4096)->Unit(benchmark::kMillisecond);

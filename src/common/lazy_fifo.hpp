@@ -1,9 +1,10 @@
 // LazyFifo: a FIFO over a flat vector with a head index — amortized-O(1)
-// pop without std::deque's eager chunk allocation. Both simulators construct
-// these by the million at wafer scale (one per router direction/color and
-// per processor ingress queue) and most never see traffic, so "allocate
-// nothing until the first push" is the property that matters; eagerly
-// allocating deques used to be the single hottest line of the fig13 suite.
+// pop without std::deque's eager chunk allocation. FabricSim constructs two
+// per PE (processor ingress and up-ramp pipeline) and most never see
+// traffic, so "allocate nothing until the first push" is the property that
+// matters; eagerly allocating deques used to be the single hottest line of
+// the fig13 suite. (FlowSim keeps its segment queues in one pooled arena
+// instead, see flowsim/flowsim.cpp.)
 //
 // Compaction: once the dead prefix reaches 32 elements and at least half
 // the buffer, it is erased in one move so the buffer cannot grow without
@@ -11,11 +12,8 @@
 #pragma once
 
 #include <cstddef>
-#include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "common/types.hpp"
 
 namespace wsr {
 
@@ -37,51 +35,6 @@ struct LazyFifo {
     } else if (head >= 32 && head * 2 >= buf.size()) {
       buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(head));
       head = 0;
-    }
-  }
-};
-
-// SmallFifo: LazyFifo plus N inline slots. The first N in-flight elements
-// live in the object itself; the heap buffer materializes only when a queue
-// is ever deeper than N. Steady streaming through millions of shallow
-// queues — FlowSim's parked/ingress lanes see one segment in, one segment
-// out per hop — then allocates nothing at all, which used to cost one
-// malloc/free pair per lane per wafer-scale run.
-//
-// FIFO order across the spill boundary holds because the inline ring only
-// accepts pushes while the spill is drained: every inline element is older
-// than every spilled one, and pops drain the ring first.
-template <typename T, u32 N>
-struct SmallFifo {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "inline ring storage requires trivially copyable elements");
-  LazyFifo<T> spill;
-  u32 ring_head = 0;
-  u32 ring_count = 0;
-  T ring[N];
-
-  bool empty() const { return ring_count == 0 && spill.empty(); }
-  std::size_t size() const { return ring_count + spill.size(); }
-  const T& front() const {
-    return ring_count != 0 ? ring[ring_head] : spill.front();
-  }
-  T& front() { return ring_count != 0 ? ring[ring_head] : spill.front(); }
-  void push(const T& v) {
-    if (ring_count < N && spill.empty()) {
-      u32 tail = ring_head + ring_count;
-      if (tail >= N) tail -= N;
-      ring[tail] = v;
-      ++ring_count;
-    } else {
-      spill.push(v);
-    }
-  }
-  void pop() {
-    if (ring_count != 0) {
-      if (++ring_head == N) ring_head = 0;
-      --ring_count;
-    } else {
-      spill.pop();
     }
   }
 };

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
+#include <utility>
 
 #include "common/grid.hpp"
-#include "common/lazy_fifo.hpp"
 #include "wse/layout.hpp"
 
 namespace wsr::flowsim {
@@ -30,10 +31,62 @@ struct Segment {
   u32 rate = 1;
 };
 
-// Two inline slots cover the steady state of every streaming pattern the
-// builders emit (one segment parked per hop, one ingress segment per
-// delivery); deeper queues (incast roots) spill to the heap.
-using SegmentFifo = SmallFifo<Segment, 2>;
+/// End of a segment list, and the head of an empty queue.
+constexpr u32 kNil = UINT32_MAX;
+
+/// A segment FIFO: the oldest and newest node of a singly linked list in
+/// the engine's SegmentPool.
+struct Queue {
+  u32 head = kNil;  ///< oldest node; kNil when the queue is empty
+  u32 tail = kNil;  ///< newest node; meaningless when the queue is empty
+
+  bool empty() const { return head == kNil; }
+};
+
+/// The one arena behind every parked and ingress queue of an engine. Nodes
+/// are linked by 32-bit index, and popped nodes go on a free list that the
+/// next push reuses, so the arena only grows to the peak number of segments
+/// in flight — a few per active lane, while most of a wafer's lanes hold
+/// one segment at a time or none.
+class SegmentPool {
+ public:
+  /// The oldest segment of a non-empty queue. The reference is invalidated
+  /// by the next push (the arena may grow).
+  Segment& front(const Queue& q) { return nodes_[q.head].seg; }
+
+  void push(Queue& q, const Segment& seg) {
+    u32 n = free_;
+    if (n != kNil) {
+      free_ = nodes_[n].next;
+      nodes_[n] = {seg, kNil};
+    } else {
+      n = static_cast<u32>(nodes_.size());
+      WSR_ASSERT(n != kNil, "segment pool exhausted");
+      nodes_.push_back({seg, kNil});
+    }
+    if (q.head == kNil) {
+      q.head = n;
+    } else {
+      nodes_[q.tail].next = n;
+    }
+    q.tail = n;
+  }
+
+  void pop(Queue& q) {
+    const u32 n = q.head;
+    q.head = nodes_[n].next;
+    nodes_[n].next = free_;
+    free_ = n;
+  }
+
+ private:
+  struct Node {
+    Segment seg;
+    u32 next = kNil;
+  };
+  std::vector<Node> nodes_;
+  u32 free_ = kNil;  ///< head of the free list
+};
 
 // The engine advances PE programs *event-driven*: instead of re-sweeping
 // every op of a program on each delivery (quadratic for the 1D Ring, whose
@@ -49,107 +102,106 @@ using SegmentFifo = SmallFifo<Segment, 2>;
 // iteration). Channel-claim order — ops claim the PE's in/out channel in
 // processing order — is therefore identical, and so are all timings.
 //
-// Storage (DESIGN.md §3 "Structure-of-arrays fabric layout"): all per-lane
-// state — rule chains, rule availability, parked and ingress segment FIFOs,
-// consumer lists — lives in flat arrays indexed by the FabricLayout's color
-// keys, and per-op state by its op keys. The layout also owns the compact-
-// color interning and the neighbour table, so this engine keeps no index
-// algebra of its own. Register tables are skipped: FlowSim has no register
-// state, and a wafer-scale run constructs layouts for 262,144 PEs.
+// Storage (DESIGN.md §3 "Structure-of-arrays fabric layout"): per-lane state
+// is one Lane record per FabricLayout color key, per-op state one OpState
+// record per op key, so a router drain or an op step touches a few cache
+// lines. Every segment queue is a Queue over the engine's SegmentPool. The
+// layout also owns the compact-color interning and the neighbour table, so
+// this engine keeps no index algebra of its own. Register tables are
+// skipped: FlowSim has no register state, and a wafer-scale run constructs
+// layouts for 262,144 PEs.
 class Engine {
  public:
   Engine(const Schedule& s, FlowOptions opt)
       : s_(s),
-        opt_(opt),
+        opt_(std::move(opt)),
         layout_(s, FabricLayout::Options{.strict = true,
                                          .register_tables = false}) {
     const u32 n = layout_.num_pes();
     const std::size_t total_ops = layout_.total_ops();
     const std::size_t total_colors = layout_.total_colors();
+    WSR_ASSERT(total_ops < kNil && total_colors < kNil,
+               "schedule too large for 32-bit lane and op keys");
 
-    // Reverse-dependency adjacency in two flat arrays (counting sort).
-    rdep_off_.assign(total_ops + 1, 0);
-    dep_pending_.assign(total_ops, 0);
-    dep_ready_.assign(total_ops, -1);
+    // Every key space is PE-major, and dependencies and consumers never
+    // cross PEs. So one pass over the PEs appends each PE's op and lane
+    // records in key order, numbers its lanes' parked queues and fills its
+    // part of the two counting-sorted arenas: the reverse dependencies of
+    // each op (rdep_off_ / rdep_lst_) and the program-ordered consumers of
+    // each lane (Lane::consumer_off / consumer_lst_).
+    //
+    // Parked queues exist only for the (lane, direction) pairs some rule
+    // accepts from: wavelets arriving anywhere else could never be drained,
+    // and a dense [lane][dir] table would be ~5x mostly-dead queues. A
+    // lane's queues are contiguous from parked_base, one per `accept` bit
+    // in direction order (parked_index); an arrival from any other
+    // direction is the stray-traffic bug.
+    ops_.reserve(total_ops);
+    rdep_off_.reserve(total_ops + 1);
+    lanes_.reserve(total_colors + 1);
+    consumer_lst_.reserve(total_ops);  // at most one entry per op
+    u32 parked = 0;
+    std::vector<u32> slot;  // per PE: [op] reverse deps, then [ci] consumers
     for (u32 pe = 0; pe < n; ++pe) {
       const auto& ops = s.programs[pe].ops;
-      for (u32 oi = 0; oi < ops.size(); ++oi) {
-        dep_pending_[layout_.op_key(pe, oi)] =
-            static_cast<u32>(ops[oi].deps.size());
-        for (u32 d : ops[oi].deps) ++rdep_off_[layout_.op_key(pe, d) + 1];
+      const u32 num_ops = static_cast<u32>(ops.size());
+      const u32 num_lanes = layout_.num_colors(pe);
+      const u32 lane_base = static_cast<u32>(layout_.color_base(pe));
+      const u32 op_base = static_cast<u32>(ops_.size());
+      slot.assign(num_ops + num_lanes, 0);
+      for (const Op& op : ops) {
+        OpState st;
+        st.deps_pending = static_cast<u32>(op.deps.size());
+        for (u32 d : op.deps) {
+          WSR_ASSERT(d < num_ops, "dependency on a missing op");
+          ++slot[d];
+        }
+        if (op.kind != OpKind::Send) {
+          const u32 ci = in_ci(pe, op);
+          st.in_lane = lane_base + ci;
+          ++slot[num_ops + ci];
+        }
+        ops_.push_back(st);
       }
-    }
-    for (std::size_t i = 1; i <= total_ops; ++i) rdep_off_[i] += rdep_off_[i - 1];
-    rdep_lst_.resize(rdep_off_[total_ops]);
-    {
-      std::vector<u32> fill(rdep_off_.begin(), rdep_off_.end() - 1);
-      for (u32 pe = 0; pe < n; ++pe) {
-        const auto& ops = s.programs[pe].ops;
-        for (u32 oi = 0; oi < ops.size(); ++oi) {
-          for (u32 d : ops[oi].deps) {
-            rdep_lst_[fill[layout_.op_key(pe, d)]++] = oi;
-          }
+      // The counts become each op's and each lane's first arena slot.
+      u32 at = static_cast<u32>(rdep_lst_.size());
+      for (u32 oi = 0; oi < num_ops; ++oi) {
+        rdep_off_.push_back(at);
+        const u32 count = slot[oi];
+        slot[oi] = at;
+        at += count;
+      }
+      rdep_lst_.resize(at);
+      at = static_cast<u32>(consumer_lst_.size());
+      for (u32 ci = 0; ci < num_lanes; ++ci) {
+        Lane lane;
+        const auto rules = layout_.rules(lane_base + ci);
+        lane.rule_remaining = rules.empty() ? 0 : rules[0].count;
+        for (const RouteRule& r : rules) lane.accept |= dir_bit(r.accept);
+        lane.parked_base = parked;
+        parked += static_cast<u32>(std::popcount(lane.accept));
+        lane.consumer_off = at;
+        lanes_.push_back(lane);
+        const u32 count = slot[num_ops + ci];
+        slot[num_ops + ci] = at;
+        at += count;
+      }
+      consumer_lst_.resize(at);
+      for (u32 oi = 0; oi < num_ops; ++oi) {
+        for (u32 d : ops[oi].deps) rdep_lst_[slot[d]++] = oi;
+        if (ops[oi].kind != OpKind::Send) {
+          const u32 ci = ops_[op_base + oi].in_lane - lane_base;
+          consumer_lst_[slot[num_ops + ci]++] = oi;
         }
       }
     }
+    rdep_off_.push_back(static_cast<u32>(rdep_lst_.size()));
+    Lane sentinel;
+    sentinel.consumer_off = static_cast<u32>(consumer_lst_.size());
+    lanes_.push_back(sentinel);
+    parked_.assign(parked, Queue{});
+    open_lst_.resize(consumer_lst_.size());
 
-    // Per-lane state, flat over color keys. The consumer lists (program-
-    // ordered ops consuming each color) are a second counting sort; the
-    // open-consumer arena reuses the same offsets — an op enters the open
-    // set at most once (when it is first scheduled), so the consumer count
-    // is a capacity bound.
-    rule_active_.assign(total_colors, 0);
-    rule_remaining_.resize(total_colors);
-    // Parked queues exist only for (ck, accept dir) pairs some rule names:
-    // wavelets arriving anywhere else could never be drained, so a dense
-    // [ck][dir] FIFO table is ~5x mostly-dead objects (at wafer scale, a
-    // nine-figure allocation per engine). parked_slot_ maps the pair to a
-    // compact queue index; kNoSlot arrivals are the stray-traffic bug the
-    // old layout only caught once the lane's rules retired.
-    parked_slot_.assign(total_colors * wsr::kNumDirs, kNoSlot);
-    u32 slots = 0;
-    for (std::size_t ck = 0; ck < total_colors; ++ck) {
-      const auto rules = layout_.rules(ck);
-      rule_remaining_[ck] = rules.empty() ? 0 : rules[0].count;
-      for (const RouteRule& r : rules) {
-        u32& slot =
-            parked_slot_[ck * wsr::kNumDirs + static_cast<u32>(r.accept)];
-        if (slot == kNoSlot) slot = slots++;
-      }
-    }
-    rule_avail_.assign(total_colors, 0);
-    parked_.resize(slots);
-    ingress_.resize(total_colors);
-
-    consumer_off_.assign(total_colors + 1, 0);
-    for (u32 pe = 0; pe < n; ++pe) {
-      for (const Op& op : s.programs[pe].ops) {
-        if (op.kind == OpKind::Send) continue;
-        const i8 ci = layout_.compact_color(pe, op.in_color);
-        ++consumer_off_[layout_.color_key(pe, static_cast<u32>(ci)) + 1];
-      }
-    }
-    for (std::size_t c = 1; c <= total_colors; ++c) {
-      consumer_off_[c] += consumer_off_[c - 1];
-    }
-    consumer_lst_.resize(consumer_off_[total_colors]);
-    open_lst_.resize(consumer_off_[total_colors]);
-    {
-      std::vector<u32> fill(consumer_off_.begin(), consumer_off_.end() - 1);
-      for (u32 pe = 0; pe < n; ++pe) {
-        const auto& ops = s.programs[pe].ops;
-        for (u32 oi = 0; oi < ops.size(); ++oi) {
-          if (ops[oi].kind == OpKind::Send) continue;
-          const i8 ci = layout_.compact_color(pe, ops[oi].in_color);
-          consumer_lst_[fill[layout_.color_key(pe, static_cast<u32>(ci))]++] =
-              oi;
-        }
-      }
-    }
-    consumer_cursor_.assign(total_colors, 0);
-    open_len_.assign(total_colors, 0);
-
-    ops_.assign(total_ops, OpState{});
     chan_in_free_.assign(n, 0);
     chan_out_free_.assign(n, 0);
 
@@ -171,25 +223,23 @@ class Engine {
     const u32 n = layout_.num_pes();
     // Initial pass: only dep-free ops can make progress — queue just those.
     // Dep-blocked ops are queued by the on_op_done cascade exactly when their
-    // last dependency completes (dep_pending_), which is the first moment the
-    // original all-ops seeding could have advanced them; every earlier wakeup
-    // was a no-op, so skipping it leaves the claim order untouched.
+    // last dependency completes (deps_pending), which is the first moment
+    // the original all-ops seeding could have advanced them; every earlier
+    // wakeup was a no-op, so skipping it leaves the claim order untouched.
     for (u32 pe = 0; pe < n; ++pe) {
       const std::size_t num_ops = layout_.num_ops(pe);
-      const u32* pending = dep_pending_.data() + layout_.op_base(pe);
+      const OpState* ops = ops_.data() + layout_.op_base(pe);
       for (u32 oi = 0; oi < num_ops; ++oi) {
-        if (pending[oi] == 0) queue_op(pe, oi);
+        if (ops[oi].deps_pending == 0) queue_op(pe, oi);
       }
       sweep(pe);
     }
     drain_worklists();
 
     FlowResult res;
-    if (opt_.record_op_times) res.op_done_cycle.resize(n);
     for (u32 pe = 0; pe < n; ++pe) {
       const std::size_t num_ops = layout_.num_ops(pe);
       const OpState* ops = ops_.data() + layout_.op_base(pe);
-      if (opt_.record_op_times) res.op_done_cycle[pe].resize(num_ops);
       for (u32 oi = 0; oi < num_ops; ++oi) {
         const OpState& st = ops[oi];
         if (!st.done) {
@@ -200,35 +250,80 @@ class Engine {
                        s_.programs[pe].ops[oi].len);
           WSR_ASSERT(false, "flow-level deadlock / unmatched traffic");
         }
-        if (opt_.record_op_times) res.op_done_cycle[pe][oi] = st.done_time;
-        res.cycles = std::max(res.cycles, st.done_time + 1);
+        res.cycles = std::max(res.cycles, st.cursor + 1);
       }
     }
     return res;
   }
 
  private:
+  /// Per-lane state, one record per color key.
+  struct Lane {
+    i64 rule_avail = 0;      ///< cycle the active rule can pass a head
+    u32 rule_active = 0;     ///< index of the active rule in the chain
+    u32 rule_remaining = 0;  ///< wavelets the active rule still passes
+    u32 parked_base = 0;     ///< the lane's first parked_ queue
+    /// Start of the lane's consumer_lst_ / open_lst_ range; the next lane's
+    /// consumer_off ends it.
+    u32 consumer_off = 0;
+    u32 consumer_cursor = 0;  ///< first not-yet-done consumer
+    u32 open_len = 0;         ///< live prefix of the lane's open_lst_ range
+    Queue ingress;            ///< segments delivered down the ramp
+    DirMask accept = 0;       ///< directions some rule accepts from
+  };
+
+  /// Per-op state, one record per op key.
   struct OpState {
+    /// Before scheduling: max done time over the finished deps (-1 while
+    /// none). FabricSim scans ops in program order within a cycle, so an op
+    /// can issue in the cycle its last dependency completed.
+    i64 ready = -1;
+    /// Last consumption / emission cycle so far; the done time once done.
+    i64 cursor = 0;
+    u32 consumed = 0;
+    u32 deps_pending = 0;  ///< deps not yet done
+    u32 in_lane = 0;       ///< the lane a Recv / RecvReduceSend consumes
     bool scheduled = false;  ///< start time fixed (deps + channel known)
     bool done = false;
     bool queued = false;  ///< pending in the candidate heaps of this call
-    i64 start = 0;
-    i64 cursor = 0;  ///< last consumption / emission cycle so far
-    u32 consumed = 0;
-    i64 done_time = -1;
+  };
+  // The per-run footprint (DESIGN.md §3) rests on these sizes: one Lane per
+  // color key and one OpState per op, 1.3M of them at wafer scale.
+  static_assert(sizeof(Lane) == 48 && sizeof(OpState) == 32);
+
+  /// A worklist entry: a router lane to drain (router_work_), or a lane
+  /// that received ingress segments (pe_work_).
+  struct Work {
+    u32 pe;
+    u32 ck;
   };
 
-  // Work-queue entries.
-  struct RouterWork {
-    u32 pe;
-    u32 ci;
-  };
-  struct PeWork {
-    u32 pe;
-    u32 ci;  ///< compact color that received ingress segments
+  /// The lane of (pe, color) and its parked queue for arrivals from `from`.
+  struct Arrival {
+    u32 ck;
+    u32 queue;  ///< parked_ index
   };
 
-  void deliver_to_router(u32 pe, Color color, Dir dir, Segment seg) {
+  /// The compact color a Recv / RecvReduceSend consumes: its lane's offset
+  /// within the PE.
+  u32 in_ci(u32 pe, const Op& op) const {
+    const i8 ci = layout_.compact_color(pe, op.in_color);
+    WSR_ASSERT(ci >= 0, "recv on unknown color");
+    return static_cast<u32>(ci);
+  }
+
+  /// The parked_ index of a lane's queue for `from`, which must be one of
+  /// the lane's accept directions.
+  u32 parked_index(const Lane& lane, Dir from) const {
+    const u32 below = dir_bit(from) - 1u;
+    return lane.parked_base + static_cast<u32>(std::popcount(
+                                  static_cast<u32>(lane.accept & below)));
+  }
+
+  /// Where wavelets of `color` arriving at `pe` from `from` park. Aborts on
+  /// stray traffic: the PE has no rules for the color, or none of them
+  /// accepts from `from`.
+  Arrival arrival(u32 pe, Color color, Dir from) const {
     const i8 ci = layout_.compact_color(pe, color);
     if (ci < 0) {
       std::fprintf(stderr,
@@ -237,36 +332,42 @@ class Engine {
                    static_cast<u32>(color), pe, s_.name.c_str());
       WSR_ASSERT(false, "stray traffic");
     }
-    const std::size_t ck = layout_.color_key(pe, static_cast<u32>(ci));
-    const u32 slot = parked_slot_[ck * wsr::kNumDirs + static_cast<u32>(dir)];
-    if (slot == kNoSlot) {
+    const u32 ck =
+        static_cast<u32>(layout_.color_key(pe, static_cast<u32>(ci)));
+    const Lane& lane = lanes_[ck];
+    if (!mask_has(lane.accept, from)) {
       std::fprintf(stderr,
                    "FlowSim: wavelets of color %u reached PE %u from %s, but "
                    "no rule accepts from there (schedule '%s')\n",
-                   static_cast<u32>(color), pe, dir_name(dir),
+                   static_cast<u32>(color), pe, dir_name(from),
                    s_.name.c_str());
       WSR_ASSERT(false, "stray traffic");
     }
-    parked_[slot].push(seg);
-    router_work_.push_back({pe, static_cast<u32>(ci)});
+    return {ck, parked_index(lane, from)};
   }
 
-  void drain_router(u32 pe, u32 ci) {
-    const std::size_t ck = layout_.color_key(pe, ci);
+  void deliver_to_router(u32 pe, Color color, Dir dir, const Segment& seg) {
+    const Arrival a = arrival(pe, color, dir);
+    pool_.push(parked_[a.queue], seg);
+    router_work_.push_back({pe, a.ck});
+  }
+
+  void drain_router(u32 pe, u32 ck) {
+    Lane& lane = lanes_[ck];
     const auto rules = layout_.rules(ck);
     // Per-rule forward expansion, hoisted out of the segment loop (the
-    // FabricSim PR 10 diet, applied flow-level): the mask scan, neighbour
-    // lookup, destination color interning, parked-slot resolution and
-    // degraded-link factor are all invariant while one rule is active, and
-    // a streaming rule passes `count` >> 1 segments. Expanding once per
+    // FabricSim Simd diet, applied flow-level): the mask scan, neighbour
+    // lookup, destination lane and parked-queue resolution and degraded-
+    // link factor are all invariant while one rule is active, and a
+    // streaming rule passes `count` >> 1 segments. Expanding once per
     // activation leaves only the segment arithmetic per segment. Queue
-    // contents are unchanged — each parked slot is fed by exactly one
+    // contents are unchanged — each parked queue is fed by exactly one
     // source lane, and pushes from one lane keep their order — so every
     // downstream timing is identical to the per-segment expansion.
     struct Fwd {
-      u32 slot;    ///< destination parked_ queue
+      u32 queue;   ///< destination parked_ queue
       u32 npe;     ///< destination PE (router worklist entry)
-      u32 nci;     ///< destination compact color (router worklist entry)
+      u32 nck;     ///< destination lane (router worklist entry)
       u32 factor;  ///< link pacing factor (1 on a pristine link)
     };
     std::array<Fwd, wsr::kNumDirs> fwd;
@@ -274,12 +375,11 @@ class Engine {
     bool ramp = false;
     u32 max_factor = 1;
     u32 expanded_for = UINT32_MAX;  // rule index `fwd` currently describes
-    while (rule_active_[ck] < rules.size()) {
-      const u32 ri = rule_active_[ck];
+    while (lane.rule_active < rules.size()) {
+      const u32 ri = lane.rule_active;
       const RouteRule& rule = rules[ri];
-      // The slot exists: every rule's accept dir was seeded at construction.
-      auto& queue = parked_[parked_slot_[ck * wsr::kNumDirs +
-                                         static_cast<u32>(rule.accept)]];
+      // The queue exists: every rule's accept dir is in lane.accept.
+      Queue& queue = parked_[parked_index(lane, rule.accept)];
       if (queue.empty()) return;
       if (expanded_for != ri) {
         nfwd = 0;
@@ -299,60 +399,42 @@ class Engine {
             f = link_rate_[std::size_t{pe} * wsr::kNumDirs + d];
             WSR_ASSERT(f != 0, "traffic routed across a failed link");
           }
-          const i8 nci = layout_.compact_color(npe, rule.color);
-          if (nci < 0) {
-            std::fprintf(stderr,
-                         "FlowSim: wavelets of color %u reached PE %u which "
-                         "has no rules for it (schedule '%s')\n",
-                         static_cast<u32>(rule.color), npe, s_.name.c_str());
-            WSR_ASSERT(false, "stray traffic");
-          }
-          const std::size_t nck = layout_.color_key(npe, static_cast<u32>(nci));
-          const u32 slot = parked_slot_[nck * wsr::kNumDirs +
-                                        static_cast<u32>(opposite(dd))];
-          if (slot == kNoSlot) {
-            std::fprintf(stderr,
-                         "FlowSim: wavelets of color %u reached PE %u from "
-                         "%s, but no rule accepts from there (schedule "
-                         "'%s')\n",
-                         static_cast<u32>(rule.color), npe,
-                         dir_name(opposite(dd)), s_.name.c_str());
-            WSR_ASSERT(false, "stray traffic");
-          }
-          fwd[nfwd++] = {slot, npe, static_cast<u32>(nci), f};
+          const Arrival a = arrival(npe, rule.color, opposite(dd));
+          fwd[nfwd++] = {a.queue, npe, a.ck, f};
           max_factor = std::max(max_factor, f);
         }
         expanded_for = ri;
       }
-      Segment seg = queue.front();
-      queue.pop();
-      WSR_ASSERT(seg.len <= rule_remaining_[ck],
+      const Segment seg = pool_.front(queue);
+      pool_.pop(queue);
+      WSR_ASSERT(seg.len <= lane.rule_remaining,
                  "segment crosses a routing-rule boundary");
-      const i64 h = std::max(seg.head, rule_avail_[ck]);
+      const i64 h = std::max(seg.head, lane.rule_avail);
       if (ramp) {
-        ingress_[ck].push({h + opt_.ramp_latency, seg.len, seg.rate});
-        pe_work_.push_back({pe, ci});
+        pool_.push(lane.ingress, {h + opt_.ramp_latency, seg.len, seg.rate});
+        pe_work_.push_back({pe, ck});
       }
       for (u32 k = 0; k < nfwd; ++k) {
         // Crossing a throttled link stretches the copy to the link's pace.
         const u32 rate = std::max(seg.rate, fwd[k].factor);
-        parked_[fwd[k].slot].push({h + 1, seg.len, rate});
-        router_work_.push_back({fwd[k].npe, fwd[k].nci});
+        pool_.push(parked_[fwd[k].queue], {h + 1, seg.len, rate});
+        router_work_.push_back({fwd[k].npe, fwd[k].nck});
       }
       // The router passes wavelets at the pace of its slowest outgoing
       // branch (a stalled copy back-pressures the whole multicast), never
       // faster than they arrive.
-      rule_avail_[ck] = h + i64{seg.len} * std::max(seg.rate, max_factor);
-      rule_remaining_[ck] -= seg.len;
-      if (rule_remaining_[ck] == 0) {
-        const u32 next = ++rule_active_[ck];
-        rule_remaining_[ck] = next < rules.size() ? rules[next].count : 0;
+      lane.rule_avail = h + i64{seg.len} * std::max(seg.rate, max_factor);
+      lane.rule_remaining -= seg.len;
+      if (lane.rule_remaining == 0) {
+        const u32 next = ++lane.rule_active;
+        lane.rule_remaining = next < rules.size() ? rules[next].count : 0;
       }
     }
     // All rules retired; leftover parked segments are a schedule bug.
-    for (u8 d = 0; d < kNumDirs; ++d) {
-      const u32 slot = parked_slot_[ck * wsr::kNumDirs + d];
-      WSR_ASSERT(slot == kNoSlot || parked_[slot].empty(),
+    const u32 end = lane.parked_base +
+                    static_cast<u32>(std::popcount(lane.accept));
+    for (u32 q = lane.parked_base; q < end; ++q) {
+      WSR_ASSERT(parked_[q].empty(),
                  "traffic after the last routing rule retired");
     }
   }
@@ -374,105 +456,99 @@ class Engine {
     }
   }
 
-  /// Seeds every not-done consumer of (pe, ci) — called for deliveries and
-  /// leftover-queue handoff. Seeding all of them (not just the first) keeps
-  /// equivalence with the original full sweep even if an earlier consumer
-  /// is dep-blocked while a later independent one is ready; extra
-  /// candidates are no-ops in run_op.
-  void queue_consumer(u32 pe, u32 ci) {
-    const std::size_t ck = layout_.color_key(pe, ci);
+  /// Seeds every not-done consumer of lane `ck` of `pe` — called for
+  /// deliveries and leftover-queue handoff. Seeding all of them (not just
+  /// the first) keeps equivalence with the original full sweep even if an
+  /// earlier consumer is dep-blocked while a later independent one is
+  /// ready; extra candidates are no-ops in run_op.
+  void queue_consumer(u32 pe, u32 ck) {
+    Lane& lane = lanes_[ck];
     const OpState* ops = ops_.data() + layout_.op_base(pe);
-    u32& cursor = consumer_cursor_[ck];
-    const u32 end = static_cast<u32>(consumer_off_[ck + 1] - consumer_off_[ck]);
-    const u32* consumers = consumer_lst_.data() + consumer_off_[ck];
-    while (cursor < end && ops[consumers[cursor]].done) ++cursor;
-    if (cursor < end) queue_op(pe, consumers[cursor]);
+    const u32 end = lanes_[ck + 1].consumer_off - lane.consumer_off;
+    const u32* consumers = consumer_lst_.data() + lane.consumer_off;
+    while (lane.consumer_cursor < end &&
+           ops[consumers[lane.consumer_cursor]].done) {
+      ++lane.consumer_cursor;
+    }
+    if (lane.consumer_cursor < end) {
+      queue_op(pe, consumers[lane.consumer_cursor]);
+    }
     // Wake every in-flight consumer, dropping finished ones as we go.
-    u32* open = open_lst_.data() + consumer_off_[ck];
+    u32* open = open_lst_.data() + lane.consumer_off;
     u32 keep = 0;
-    for (u32 k = 0; k < open_len_[ck]; ++k) {
+    for (u32 k = 0; k < lane.open_len; ++k) {
       const u32 oi = open[k];
       if (ops[oi].done) continue;
       open[keep++] = oi;
       queue_op(pe, oi);
     }
-    open_len_[ck] = keep;
+    lane.open_len = keep;
   }
 
   void on_op_done(u32 pe, u32 oi) {
     // Dep cascade: a dependent becomes a candidate when its *last* dependency
-    // lands (dep_pending_ hits zero). Deps point at lower op indices, so this
+    // lands (deps_pending hits zero). Deps point at lower op indices, so this
     // wake always lands in the current-pass heap — the same slot the original
     // queue-on-every-dep scheme used for the final (only effective) wake; the
     // earlier wakes it skips all bounced off the readiness check.
-    const std::size_t key = layout_.op_key(pe, oi);
     const std::size_t base = layout_.op_base(pe);
-    const i64 done_time = ops_[key].done_time;
+    const std::size_t key = base + oi;
+    const i64 done_time = ops_[key].cursor;
     for (u32 e = rdep_off_[key]; e < rdep_off_[key + 1]; ++e) {
       const u32 dep_oi = rdep_lst_[e];
-      i64& ready = dep_ready_[base + dep_oi];
-      ready = std::max(ready, done_time);
-      if (--dep_pending_[base + dep_oi] == 0) queue_op(pe, dep_oi);
+      OpState& dep = ops_[base + dep_oi];
+      dep.ready = std::max(dep.ready, done_time);
+      if (--dep.deps_pending == 0) queue_op(pe, dep_oi);
     }
     // A later op consuming the same color continues on the leftover queue.
-    const Op& op = s_.programs[pe].ops[oi];
-    if (op.kind != OpKind::Send) {
-      const i8 ci = layout_.compact_color(pe, op.in_color);
-      if (!ingress_[layout_.color_key(pe, static_cast<u32>(ci))].empty()) {
-        queue_consumer(pe, static_cast<u32>(ci));
-      }
+    const OpState& st = ops_[key];
+    if (s_.programs[pe].ops[oi].kind != OpKind::Send &&
+        !lanes_[st.in_lane].ingress.empty()) {
+      queue_consumer(pe, st.in_lane);
     }
   }
 
-  /// The per-op step: schedule when deps allow, then emit / consume. This is
-  /// the original sweep body verbatim; only the surrounding iteration and
-  /// the state addressing (flat op/color keys) changed.
+  /// The per-op step: schedule when deps allow, then emit / consume.
   void run_op(u32 pe, u32 oi) {
-    OpState* ops = ops_.data() + layout_.op_base(pe);
-    OpState& st = ops[oi];
+    OpState& st = ops_[layout_.op_key(pe, oi)];
     if (st.done) return;
     const Op& op = s_.programs[pe].ops[oi];
     if (!st.scheduled) {
-      const std::size_t key = layout_.op_base(pe) + oi;
-      if (dep_pending_[key] != 0) return;  // not ready yet
+      if (st.deps_pending != 0) return;  // not ready yet
       // Same-cycle chaining: FabricSim scans ops in program order within a
       // cycle, so an op whose dependency completed earlier in the same cycle
       // can already issue (deps always point at lower op indices).
-      // dep_ready_ is max(done_time) over the deps, maintained by the
+      // `ready` is max(done time) over the deps, maintained by the
       // on_op_done cascade (-1 when dep-free).
-      i64 start = dep_ready_[key];
+      i64 start = st.ready;
       if (op.kind != OpKind::Send) start = std::max(start, chan_in_free_[pe]);
       if (op.kind != OpKind::Recv) start = std::max(start, chan_out_free_[pe]);
       st.scheduled = true;
-      st.start = start;
       st.cursor = start - 1;
       // Claim the channels immediately so later ops queue behind; the claim
       // end is extended as the op progresses and finalized on completion.
-      if (op.kind != OpKind::Send) {
-        // Now an in-flight consumer: deliveries must wake it (see the
-        // open-consumer arena). If it completes below, queue_consumer drops
-        // it lazily.
-        const i8 ci = layout_.compact_color(pe, op.in_color);
-        const std::size_t ck = layout_.color_key(pe, static_cast<u32>(ci));
-        open_lst_[consumer_off_[ck] + open_len_[ck]++] = oi;
+      if (op.kind == OpKind::Send) {
+        // Emission is analytic: len wavelets at 1/cycle from start, so a
+        // Send completes in the call that schedules it.
+        deliver_to_router(pe, op.out_color, Dir::Ramp,
+                          {start + opt_.ramp_latency, op.len});
+        st.done = true;
+        st.cursor = start + op.len - 1;
+        chan_out_free_[pe] = st.cursor + 1;
+        on_op_done(pe, oi);
+        return;
       }
-    }
-    if (op.kind == OpKind::Send) {
-      // Emission is analytic: len wavelets at 1/cycle from start.
-      const Segment seg{st.start + opt_.ramp_latency, op.len};
-      deliver_to_router(pe, op.out_color, Dir::Ramp, seg);
-      st.done = true;
-      st.done_time = st.start + op.len - 1;
-      chan_out_free_[pe] = st.done_time + 1;
-      on_op_done(pe, oi);
-      return;
+      // Now an in-flight consumer: deliveries must wake it (see the
+      // open-consumer arena). If it completes below, queue_consumer drops
+      // it lazily.
+      Lane& lane = lanes_[st.in_lane];
+      open_lst_[lane.consumer_off + lane.open_len++] = oi;
     }
     // Recv / RecvReduceSend: consume available ingress segments.
-    const i8 ci = layout_.compact_color(pe, op.in_color);
-    WSR_ASSERT(ci >= 0, "recv on unknown color");
-    auto& queue = ingress_[layout_.color_key(pe, static_cast<u32>(ci))];
+    Queue& queue = lanes_[st.in_lane].ingress;
     while (!queue.empty() && st.consumed < op.len) {
-      const Segment seg = queue.front();
+      Segment& front = pool_.front(queue);
+      const Segment seg = front;
       // A producer's contiguous run may span several consumer ops (e.g. a
       // pipelined reduce-scatter peels one chunk per op off an upstream
       // stream): consume up to the op boundary and leave the paced
@@ -483,10 +559,10 @@ class Engine {
       st.cursor = first + i64{take - 1} * seg.rate;
       st.consumed += take;
       if (take == seg.len) {
-        queue.pop();
+        pool_.pop(queue);
       } else {
-        queue.front().head = st.cursor + seg.rate;
-        queue.front().len = seg.len - take;
+        front.head = st.cursor + seg.rate;
+        front.len = seg.len - take;
       }
       if (op.kind == OpKind::RecvReduceSend) {
         // Each consumed wavelet re-emits one cycle later (combine) plus the
@@ -497,10 +573,9 @@ class Engine {
     }
     if (st.consumed == op.len) {
       st.done = true;
-      st.done_time = st.cursor;
-      chan_in_free_[pe] = st.done_time + 1;
+      chan_in_free_[pe] = st.cursor + 1;
       if (op.kind == OpKind::RecvReduceSend) {
-        chan_out_free_[pe] = st.done_time + 1;
+        chan_out_free_[pe] = st.cursor + 1;
       }
       on_op_done(pe, oi);
     }
@@ -529,14 +604,14 @@ class Engine {
   void drain_worklists() {
     while (!router_work_.empty() || !pe_work_.empty()) {
       while (!router_work_.empty()) {
-        const RouterWork w = router_work_.back();
+        const Work w = router_work_.back();
         router_work_.pop_back();
-        drain_router(w.pe, w.ci);
+        drain_router(w.pe, w.ck);
       }
       while (!pe_work_.empty()) {
-        const PeWork w = pe_work_.back();
+        const Work w = pe_work_.back();
         pe_work_.pop_back();
-        queue_consumer(w.pe, w.ci);
+        queue_consumer(w.pe, w.ck);
         sweep(w.pe);
       }
     }
@@ -546,42 +621,33 @@ class Engine {
   FlowOptions opt_;
   FabricLayout layout_;
 
+  std::vector<OpState> ops_;              // [op key]
   std::vector<u32> rdep_off_, rdep_lst_;  // reverse deps over flat op keys
-  std::vector<u32> dep_pending_;  ///< [op key] deps not yet done
-  std::vector<i64> dep_ready_;    ///< [op key] max done_time over done deps
 
-  // [color key] per-lane state (one flat array per field).
-  std::vector<u32> rule_active_;
-  std::vector<u32> rule_remaining_;
-  std::vector<i64> rule_avail_;  ///< cycle the active rule can pass a head
-  static constexpr u32 kNoSlot = UINT32_MAX;
-  std::vector<u32> parked_slot_;      // [ck * kNumDirs + dir] -> parked_ index
-  std::vector<SegmentFifo> parked_;   // compact, one per seeded (ck, accept)
-  std::vector<SegmentFifo> ingress_;  // [ck]
-  /// Program-ordered ops consuming each color (counting-sorted arena);
-  /// consumer_cursor_ points at the first not-yet-done one.
-  std::vector<std::size_t> consumer_off_;  // [total_colors + 1]
+  std::vector<Lane> lanes_;  // [color key], plus the consumer_off sentinel
+  std::vector<Queue> parked_;  // per (lane, accept dir), from Lane::parked_base
+  SegmentPool pool_;           // nodes of every parked and ingress queue
+  /// Program-ordered ops consuming each lane (counting-sorted arena, lane
+  /// ranges at Lane::consumer_off); Lane::consumer_cursor points at the
+  /// first not-yet-done one.
   std::vector<u32> consumer_lst_;
-  std::vector<u32> consumer_cursor_;
   /// Consumers currently scheduled but not done (done entries are dropped
-  /// lazily). A delivery must wake every one of them, not just the cursor
-  /// op: an earlier consumer can be dep-blocked while a later independent
-  /// one is mid-stream. Shares consumer_off_'s extents — an op enters at
-  /// most once (on scheduling), so the consumer count bounds the arena.
+  /// lazily), Lane::open_len long per lane. A delivery must wake every one
+  /// of them, not just the cursor op: an earlier consumer can be dep-blocked
+  /// while a later independent one is mid-stream. Shares consumer_lst_'s
+  /// extents — an op enters at most once (on scheduling), so the consumer
+  /// count bounds the arena.
   std::vector<u32> open_lst_;
-  std::vector<u32> open_len_;
 
-  // [op key] / [pe]
-  std::vector<OpState> ops_;
-  std::vector<i64> chan_in_free_, chan_out_free_;
+  std::vector<i64> chan_in_free_, chan_out_free_;  // [pe]
 
   // Degraded links: [pe * kNumDirs + dir] -> pacing factor (1 = pristine,
   // 0 = failed); empty unless an override names a link of this grid.
   bool degraded_ = false;
   std::vector<u32> link_rate_;
 
-  std::vector<RouterWork> router_work_;
-  std::vector<PeWork> pe_work_;
+  std::vector<Work> router_work_;
+  std::vector<Work> pe_work_;
   // Candidate heaps for the PE sweep in flight (reused across calls; both
   // drain to empty before sweep() returns).
   std::vector<u32> cur_, next_;
@@ -592,7 +658,7 @@ class Engine {
 }  // namespace
 
 FlowResult run_flow(const Schedule& schedule, FlowOptions options) {
-  Engine engine(schedule, options);
+  Engine engine(schedule, std::move(options));
   return engine.run();
 }
 

@@ -35,11 +35,6 @@ namespace wsr::flowsim {
 
 struct FlowOptions {
   u32 ramp_latency = 2;  ///< T_R, must match the FabricSim options.
-  /// Fill FlowResult::op_done_cycle. Off by default: the nested vectors are
-  /// one allocation per PE, which at wafer scale (262,144 PEs per run)
-  /// costs more than the simulation of a light schedule — and the usual
-  /// consumer only wants `cycles`. Completion is verified either way.
-  bool record_op_times = false;
   /// Degraded hardware (common/link_override.hpp). A segment crossing a
   /// throttled link is stretched to one wavelet per `factor` cycles — the
   /// stretch rides the segment downstream (a slow hop gates everything
@@ -51,13 +46,12 @@ struct FlowOptions {
 
 struct FlowResult {
   i64 cycles = 0;
-  /// Per-op completion cycles, [pe][op]; only filled when
-  /// FlowOptions::record_op_times is set. -1 means the op never completed
-  /// (which run() treats as a fatal schedule error regardless).
-  std::vector<std::vector<i64>> op_done_cycle;
 };
 
-/// Runs the schedule at flow level and returns the completion time.
+/// Runs the schedule at flow level and returns the completion time. An op
+/// that never completes aborts (a flow-level deadlock or unmatched traffic),
+/// as do stray traffic, a segment crossing a routing-rule boundary, traffic
+/// after a lane's last rule retired and traffic routed across a failed link.
 FlowResult run_flow(const wse::Schedule& schedule, FlowOptions options = {});
 
 }  // namespace wsr::flowsim

@@ -1,6 +1,8 @@
 // FlowSim cross-validation: the flow-level simulator must agree with the
 // cycle-level FabricSim on completion time across every pattern, so that its
-// wafer-scale (512x512) numbers can be trusted.
+// wafer-scale (512x512) numbers can be trusted. The FlowSimDeath cases pin
+// every schedule error FlowSim aborts on; exact cycle counts are pinned by
+// test_flowsim_golden.
 #include "flowsim/flowsim.hpp"
 
 #include <gtest/gtest.h>
@@ -159,6 +161,80 @@ TEST(FlowSim, XYCompositionMatchesFullGrid) {
                             std::string("composition ") + name(a));
     }
   }
+}
+
+// --- abort paths ---------------------------------------------------------------
+// Every schedule error FlowSim can detect aborts with a diagnostic. Each case
+// is a hand-built 2-PE row: PE 0 streams color 0 east, PE 1 receives it.
+
+constexpr wse::Color kC = 0;
+
+wse::RouteRule rule(Dir accept, DirMask forward, u32 count) {
+  return {kC, accept, forward, count};
+}
+
+/// A well-formed 2-PE transfer of `len` wavelets (the baseline each death
+/// case breaks in exactly one place).
+wse::Schedule two_pe_transfer(u32 len) {
+  wse::Schedule s({2, 1}, len, "two-pe");
+  s.program(0).add(wse::Op::send(kC, len));
+  s.add_rule(0, rule(Dir::Ramp, dir_mask(Dir::East), len));
+  s.program(1).add(wse::Op::recv(kC, len, wse::RecvMode::Store));
+  s.add_rule(1, rule(Dir::West, dir_mask(Dir::Ramp), len));
+  return s;
+}
+
+TEST(FlowSimDeath, BaselineTransferCompletes) {
+  EXPECT_GT(flowsim::run_flow(two_pe_transfer(4)).cycles, 4);
+}
+
+TEST(FlowSimDeath, StrayTrafficToAPeWithoutRulesForTheColor) {
+  wse::Schedule s({2, 1}, 4, "stray-no-rules");
+  s.program(0).add(wse::Op::send(kC, 4));
+  s.add_rule(0, rule(Dir::Ramp, dir_mask(Dir::East), 4));
+  EXPECT_DEATH(flowsim::run_flow(s), "has no rules for it.*stray traffic");
+}
+
+TEST(FlowSimDeath, StrayTrafficFromADirectionNoRuleAccepts) {
+  wse::Schedule s = two_pe_transfer(4);
+  s.rules[1] = {rule(Dir::East, dir_mask(Dir::Ramp), 4)};
+  EXPECT_DEATH(flowsim::run_flow(s),
+               "from W, but no rule accepts from there.*stray traffic");
+}
+
+TEST(FlowSimDeath, SegmentCrossingARuleBoundary) {
+  wse::Schedule s = two_pe_transfer(4);
+  s.rules[0] = {rule(Dir::Ramp, dir_mask(Dir::East), 2),
+                rule(Dir::Ramp, dir_mask(Dir::East), 2)};
+  EXPECT_DEATH(flowsim::run_flow(s), "segment crosses a routing-rule boundary");
+}
+
+TEST(FlowSimDeath, TrafficAfterTheLastRuleRetired) {
+  wse::Schedule s = two_pe_transfer(4);
+  s.program(0).add(wse::Op::send(kC, 4).after(0));
+  EXPECT_DEATH(flowsim::run_flow(s),
+               "traffic after the last routing rule retired");
+}
+
+TEST(FlowSimDeath, TrafficAcrossAFailedLink) {
+  flowsim::FlowOptions opt;
+  opt.link_overrides = {LinkOverride{0, 0, Dir::East, 0}};
+  EXPECT_DEATH(flowsim::run_flow(two_pe_transfer(4), opt),
+               "traffic routed across a failed link");
+}
+
+TEST(FlowSimDeath, DependencyOnAMissingOp) {
+  wse::Schedule s = two_pe_transfer(4);
+  s.program(1).ops[0].after(3);
+  EXPECT_DEATH(flowsim::run_flow(s), "dependency on a missing op");
+}
+
+TEST(FlowSimDeath, NeverCompletedOpIsADeadlock) {
+  wse::Schedule s = two_pe_transfer(4);
+  s.program(1).ops[0].len = 6;
+  EXPECT_DEATH(flowsim::run_flow(s),
+               "op 0 at PE 1 never completed \\(consumed 4/6\\).*"
+               "flow-level deadlock");
 }
 
 TEST(FlowSim, ScalesToWaferScale) {

@@ -1,9 +1,9 @@
-// LazyFifo is load-bearing in both simulators (router segment queues,
-// processor ingress queues, up-ramp pipelines — millions of instances per
-// wafer run) but until now was only exercised indirectly through them. This
-// suite pins its contract directly: FIFO order, the empty-reset and lazy
-// compaction behaviours that bound memory under streaming, zero allocation
-// before first use, and move-only payload support.
+// LazyFifo is load-bearing in FabricSim (processor ingress queues and
+// up-ramp pipelines, two per PE) but is otherwise only exercised
+// indirectly through it. This suite pins its contract directly: FIFO
+// order, the empty-reset and lazy compaction behaviours that bound memory
+// under streaming, zero allocation before first use, and move-only payload
+// support.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,8 +19,8 @@ TEST(LazyFifo, StartsEmptyWithoutAllocating) {
   LazyFifo<int> q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
-  // "Allocate nothing until the first push" is the property both simulators
-  // rely on when constructing millions of mostly-idle queues.
+  // "Allocate nothing until the first push" is the property FabricSim
+  // relies on when constructing two queues per PE, most of them idle.
   EXPECT_EQ(q.buf.capacity(), 0u);
 }
 
@@ -86,7 +86,7 @@ TEST(LazyFifo, LazyCompactionBounds) {
 
 TEST(LazyFifo, SteadyStreamingStaysBounded) {
   // Push/pop in lockstep forever: compaction must keep the buffer from
-  // growing without bound (this is the simulators' steady-state shape).
+  // growing without bound (this is FabricSim's steady-state shape).
   LazyFifo<int> q;
   for (int i = 0; i < 64; ++i) q.push(i);
   for (int i = 64; i < 100'000; ++i) {

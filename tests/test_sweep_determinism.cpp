@@ -2,8 +2,14 @@
 // produce identical Series values at any thread count (each cell writes only
 // its own pre-allocated slot; scheduling is dynamic but the outputs are
 // pure). This is the contract that lets every fig bench accept --jobs while
-// keeping its numeric output byte-identical.
+// keeping its numeric output byte-identical. One series runs FabricSim
+// cells, the other FlowSim cells; the TSan job runs this suite.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "harness.hpp"
@@ -57,6 +63,66 @@ TEST(SweepDeterminism, SeriesIdenticalAtAnyThreadCount) {
             << reference[s].label << " point " << i << " at jobs=" << jobs;
         EXPECT_EQ(parallel[s].points[i].predicted,
                   reference[s].points[i].predicted)
+            << reference[s].label << " point " << i << " at jobs=" << jobs;
+      }
+    }
+  }
+}
+
+/// The FlowSim series: fig13* and the wafer sweep run FlowSim cells on
+/// several threads at once, so each (shape, B) cell builds its own schedule
+/// and simulates it with bench::flow_cycles, like those sweeps do.
+std::vector<bench::Series> run_flow_sweep(u32 jobs) {
+  const std::vector<u32> bs = {64, 128, 256};
+  const std::vector<std::pair<std::string, std::function<wse::Schedule(u32)>>>
+      shapes = {
+          {"Snake+Bcast 32x32",
+           [](u32 b) {
+             return collectives::make_allreduce_2d_snake_bcast({32, 32}, b);
+           }},
+          {"Star incast 256",
+           [](u32 b) {
+             return collectives::make_reduce_1d(ReduceAlgo::Star, 256, b);
+           }},
+          {"Ring 64",
+           [](u32 b) {
+             return collectives::make_ring_allreduce_1d(
+                 64, b, collectives::RingMapping::Simple);
+           }},
+      };
+  bench::SweepRunner runner(jobs);
+  std::vector<bench::Series> series;
+  for (const auto& shape : shapes) {
+    series.push_back({shape.first, std::vector<bench::Measurement>(bs.size())});
+  }
+  for (std::size_t si = 0; si < shapes.size(); ++si) {
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+      const auto& build = shapes[si].second;
+      const u32 b = bs[i];
+      runner.cell(&series[si].points[i], [&build, b] {
+        return bench::Measurement{bench::flow_cycles(build(b)), 0};
+      });
+    }
+  }
+  runner.run();
+  return series;
+}
+
+TEST(SweepDeterminism, FlowSimSeriesIdenticalAtAnyThreadCount) {
+  const auto reference = run_flow_sweep(1);
+  for (const bench::Series& s : reference) {
+    for (const bench::Measurement& m : s.points) {
+      ASSERT_TRUE(m.simulated()) << s.label;
+    }
+  }
+  for (u32 jobs : {2u, 4u, 8u}) {
+    const auto parallel = run_flow_sweep(jobs);
+    ASSERT_EQ(parallel.size(), reference.size());
+    for (std::size_t s = 0; s < reference.size(); ++s) {
+      ASSERT_EQ(parallel[s].points.size(), reference[s].points.size());
+      for (std::size_t i = 0; i < reference[s].points.size(); ++i) {
+        EXPECT_EQ(parallel[s].points[i].measured,
+                  reference[s].points[i].measured)
             << reference[s].label << " point " << i << " at jobs=" << jobs;
       }
     }

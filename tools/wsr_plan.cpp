@@ -265,8 +265,9 @@ int main(int argc, char** argv) {
   }
   if (dump) std::printf("%s", plan.schedule.dump().c_str());
   if (simulate) {
-    // Both simulators honor the machine's link overrides; a schedule that
-    // routes across a *failed* link cannot run at all.
+    // Both simulators run the planned machine's ramp latency and link
+    // overrides; a schedule that routes across a *failed* link cannot run
+    // at all.
     if (wse::schedule_crosses_failed_link(plan.schedule, mp.link_overrides)) {
       std::fprintf(stderr,
                    "fabric sim : schedule routes across a failed link; "
@@ -275,6 +276,7 @@ int main(int argc, char** argv) {
     }
     if (grid.num_pes() <= 4096 && plan.prediction.cycles <= 200000) {
       wse::FabricOptions fo;
+      fo.ramp_latency = mp.ramp_latency;
       fo.link_overrides = mp.link_overrides;
       const auto r = runtime::verify_collective(
           plan.schedule, runtime::semantic_for(request.collective), fo);
@@ -287,6 +289,7 @@ int main(int argc, char** argv) {
       }
     } else {
       flowsim::FlowOptions fo;
+      fo.ramp_latency = mp.ramp_latency;
       fo.link_overrides = mp.link_overrides;
       const auto r = flowsim::run_flow(plan.schedule, fo);
       std::fprintf(stderr, "flow sim   : %lld cycles (grid too large for "

@@ -15,6 +15,9 @@ ctest and by the CI docs job):
 3. The stats verb reports the disk store's load and the expected hit
    counters, and request errors answer {"error": ...} without killing the
    daemon.
+4. `wsr_plan --simulate` runs both simulators at the planned ramp latency:
+   at --tr=2 and --tr=5 the simulated cycle count (FabricSim on a row,
+   FlowSim on a grid too large for it) is within 1% of the prediction.
 
 Stdlib only (no pip installs); exits non-zero with a diagnostic on the
 first violation.
@@ -72,6 +75,25 @@ def run_cli(wsr_plan, request):
     if proc.returncode != 0:
         fail(f"wsr_plan exited with {proc.returncode}", proc.stderr)
     return json.loads(proc.stdout)
+
+
+# (wsr_plan arguments, simulator line prefix): a row small enough for the
+# cycle-level FabricSim, and a grid that falls through to FlowSim.
+SIMULATE_CASES = [
+    (["reduce", "64", "256", "--algo=Chain"], "fabric sim"),
+    (["reduce", "80x80", "256", "--algo=X-Y Chain"], "flow sim"),
+]
+
+
+def cycles_on_line(text, prefix):
+    """The cycle count of the `<prefix> : N cycles` line of wsr_plan's
+    report, or None."""
+    for line in text.splitlines():
+        if line.startswith(prefix):
+            fields = line.split(":", 1)[1].split()
+            if len(fields) >= 2 and fields[1].startswith("cycles"):
+                return int(fields[0])
+    return None
 
 
 def stripped(response):
@@ -189,6 +211,25 @@ def main():
             fail("a torn request at EOF must answer an error", torn_resp)
         print("ok: empty/garbage/oversized/torn input answered in-band, "
               "daemon stayed up")
+
+        # --- 6. --simulate runs the simulators at the planned T_R ----------
+        for args, sim in SIMULATE_CASES:
+            for tr in (2, 5):
+                argv = [wsr_plan] + args + [f"--tr={tr}", "--simulate"]
+                proc = subprocess.run(argv, capture_output=True, text=True,
+                                      timeout=300)
+                if proc.returncode != 0:
+                    fail(f"wsr_plan exited with {proc.returncode}", argv,
+                         proc.stderr)
+                predicted = cycles_on_line(proc.stderr, "predicted")
+                simulated = cycles_on_line(proc.stderr, sim)
+                if predicted is None or simulated is None:
+                    fail(f"no predicted / {sim} line", argv, proc.stderr)
+                if abs(simulated - predicted) > 0.01 * predicted:
+                    fail(f"{sim} is not within 1% of the prediction at "
+                         f"--tr={tr}", argv, proc.stderr)
+        print(f"ok: wsr_plan --simulate matches the prediction at --tr=2 "
+              f"and --tr=5 ({len(SIMULATE_CASES)} cases)")
         return 0
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
