@@ -4,6 +4,7 @@
 // (our planner extension) wins. This quantifies the gain over the best
 // same-axis choice.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "harness.hpp"
@@ -29,22 +30,22 @@ int main(int argc, char** argv) {
   }
   for (Row& row : rows) {
     bench.runner().task([&row, &planner] {
-      const runtime::Plan mixed = planner.plan_reduce_2d_mixed(row.g, row.b);
+      const runtime::Plan mixed = bench::plan_mixed_xy(planner, row.g, row.b);
       // Best same-axis *fixed* pattern (the paper's X-Y family; Auto-Gen
       // already adapts its tree to each axis length, which is why the
       // planner's mixed and plain choices coincide when Auto-Gen wins).
-      ReduceAlgo best_fixed = ReduceAlgo::Chain;
+      runtime::PlanRequest best_fixed;
       i64 best_cycles = INT64_MAX;
       for (ReduceAlgo a : kFixedReduceAlgos) {
-        const i64 c =
-            planner.predict_reduce_2d(Reduce2DAlgo::XY, a, row.g, row.b).cycles;
+        const runtime::PlanRequest xy{runtime::Collective::Reduce, row.g,
+                                      row.b, std::string("X-Y ") + name(a)};
+        const i64 c = planner.predict(xy).cycles;
         if (c < best_cycles) {
           best_cycles = c;
-          best_fixed = a;
+          best_fixed = xy;
         }
       }
-      const runtime::Plan same =
-          planner.plan_reduce_2d(row.g, row.b, Reduce2DAlgo::XY, best_fixed);
+      const runtime::Plan same = planner.plan(best_fixed);
       row.mixed_choice = mixed.algorithm;
       row.mixed = {bench::flow_cycles(mixed.schedule), mixed.prediction.cycles};
       row.same = {bench::flow_cycles(same.schedule), same.prediction.cycles};

@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, "fig01_optimality_ratio");
   const MachineParams mp;
   const autogen::LowerBound lb(512, mp);
-  const registry::PlanContext ctx = registry::make_context(512, mp);
+  const runtime::Planner planner(512, mp);
+  const registry::PlanContext ctx = planner.context();
   ctx.autogen();  // build the DP table once, outside the cells
   const auto pes = bench::pe_sweep();
   const auto lens = bench::vec_len_sweep_wavelets(8192);

@@ -2,19 +2,19 @@
 // for each (vector length, PE count), and its speedup over the vendor
 // baseline (Chain + Broadcast). Purely analytic.
 //
-// The candidate table is a registry enumeration (selector.cpp queries the
-// AlgorithmRegistry's fixed 1D AllReduce family), so a newly registered
-// fixed algorithm appears in this region map automatically.
+// Each cell reads the planner's candidate table (the registry's 1D AllReduce
+// family) without its Auto-Gen row, so a newly registered fixed algorithm
+// appears in this region map automatically.
 #include <cstdio>
 
 #include "harness.hpp"
-#include "model/selector.hpp"
 
 using namespace wsr;
 
 int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, "fig08_allreduce1d_regions");
-  const MachineParams mp;
+  const runtime::Planner planner(512);
+  planner.autogen_model();  // build the DP table once, outside the cells
   const auto pes = bench::pe_sweep();
   const auto lens = bench::vec_len_sweep_wavelets(8192);
 
@@ -23,15 +23,11 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < pes.size(); ++r) {
     for (std::size_t c = 0; c < lens.size(); ++c) {
       bench.runner().task([&, r, c] {
-        const auto cands = allreduce_1d_candidates(pes[r], lens[c], mp);
-        const std::size_t best = best_candidate(cands);
-        i64 vendor = 0;
-        for (const Candidate& cand : cands) {
-          if (cand.label == "Chain+Bcast") vendor = cand.prediction.cycles;
-        }
-        cells[r][c] = {cands[best].label,
-                       static_cast<double>(vendor) /
-                           static_cast<double>(cands[best].prediction.cycles)};
+        const bench::RegionCell cell =
+            bench::region_cell(planner, runtime::Collective::AllReduce,
+                               {pes[r], 1}, lens[c], "Chain+Bcast");
+        cells[r][c] = {cell.winner, static_cast<double>(cell.vendor_cycles) /
+                                        static_cast<double>(cell.cycles)};
       });
     }
   }

@@ -2,19 +2,19 @@
 // speedup over the vendor baseline (X-Y Chain). Square grids up to 512x512.
 // Purely analytic.
 //
-// The candidate table is a registry enumeration (selector.cpp queries the
-// AlgorithmRegistry's fixed 2D AllReduce family), so a newly registered
-// fixed algorithm appears in this region map automatically.
+// Each cell reads the planner's candidate table (the registry's 2D AllReduce
+// family) without its X-Y AutoGen row, so a newly registered fixed algorithm
+// appears in this region map automatically.
 #include <cstdio>
 
 #include "harness.hpp"
-#include "model/selector.hpp"
 
 using namespace wsr;
 
 int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, "fig10_allreduce2d_regions");
-  const MachineParams mp;
+  const runtime::Planner planner(512);
+  planner.autogen_model();  // build the DP table once, outside the cells
   const auto pes = bench::pe_sweep();
   const auto lens = bench::vec_len_sweep_wavelets(8192);
 
@@ -23,16 +23,11 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < pes.size(); ++r) {
     for (std::size_t c = 0; c < lens.size(); ++c) {
       bench.runner().task([&, r, c] {
-        const GridShape g{pes[r], pes[r]};
-        const auto cands = allreduce_2d_candidates(g, lens[c], mp);
-        const std::size_t best = best_candidate(cands);
-        i64 vendor = 0;
-        for (const Candidate& cand : cands) {
-          if (cand.label == "X-Y Chain") vendor = cand.prediction.cycles;
-        }
-        cells[r][c] = {cands[best].label,
-                       static_cast<double>(vendor) /
-                           static_cast<double>(cands[best].prediction.cycles)};
+        const bench::RegionCell cell =
+            bench::region_cell(planner, runtime::Collective::AllReduce,
+                               {pes[r], pes[r]}, lens[c], "X-Y Chain");
+        cells[r][c] = {cell.winner, static_cast<double>(cell.vendor_cycles) /
+                                        static_cast<double>(cell.cycles)};
       });
     }
   }

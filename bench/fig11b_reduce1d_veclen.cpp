@@ -34,7 +34,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < lens.size(); ++i) {
       const u32 b = lens[i];
       bench.runner().cell(&series[ai].points[i], [=, &planner] {
-        const i64 pred = planner.predict_reduce_1d(a, P, b).cycles;
+        const i64 pred =
+            planner.predict({runtime::Collective::Reduce, {P, 1}, b, name(a)})
+                .cycles;
         const i64 meas = bench::measured_cycles(
             collectives::make_reduce_1d(a, P, b, &planner.autogen_model()),
             pred);

@@ -37,7 +37,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < lens.size(); ++i) {
       const u32 b = lens[i];
       bench.runner().cell(&series[ai].points[i], [=, &planner] {
-        const i64 pred = planner.predict_allreduce_1d(a, P, b).cycles;
+        const i64 pred = planner
+                             .predict({runtime::Collective::AllReduce,
+                                       {P, 1},
+                                       b,
+                                       std::string(name(a)) + "+Bcast"})
+                             .cycles;
         const i64 meas = bench::measured_cycles(
             collectives::make_allreduce_1d(a, P, b, &planner.autogen_model()),
             pred);

@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < pes.size(); ++i) {
       const u32 p = pes[i];
       bench.runner().cell(&series[ai].points[i], [=, &planner] {
-        const i64 pred = planner.predict_reduce_1d(a, p, B).cycles;
+        const i64 pred =
+            planner.predict({runtime::Collective::Reduce, {p, 1}, B, name(a)})
+                .cycles;
         const i64 meas = bench::measured_cycles(
             collectives::make_reduce_1d(a, p, B, &planner.autogen_model()),
             pred);

@@ -33,7 +33,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < pes.size(); ++i) {
       const u32 p = pes[i];
       bench.runner().cell(&series[ai].points[i], [=, &planner] {
-        const i64 pred = planner.predict_allreduce_1d(a, p, B).cycles;
+        const i64 pred = planner
+                             .predict({runtime::Collective::AllReduce,
+                                       {p, 1},
+                                       B,
+                                       std::string(name(a)) + "+Bcast"})
+                             .cycles;
         const i64 meas = bench::measured_cycles(
             collectives::make_allreduce_1d(a, p, B, &planner.autogen_model()),
             pred);

@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, "fig13b_allreduce2d_veclen");
   const MachineParams mp;
   const GridShape grid{512, 512};
-  const registry::PlanContext ctx = registry::make_context(512, mp);
+  const runtime::Planner planner(512, mp);
+  const registry::PlanContext ctx = planner.context();
   ctx.autogen();  // build the DP table once, outside the cells
   const auto lens = bench::vec_len_sweep_wavelets(4096);
 

@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, "fig13c_reduce2d_pes");
   const MachineParams mp;
   const u32 B = 256;  // 1 KB
-  const registry::PlanContext ctx = registry::make_context(512, mp);
+  const runtime::Planner planner(512, mp);
+  const registry::PlanContext ctx = planner.context();
   ctx.autogen();  // build the DP table once, outside the cells
   const auto pes = bench::pe_sweep();
 

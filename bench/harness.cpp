@@ -87,6 +87,42 @@ std::string bytes_label(u32 wavelets) {
   return buf;
 }
 
+std::vector<runtime::Candidate> fixed_candidates(
+    const runtime::Planner& planner, runtime::Collective collective,
+    GridShape grid, u32 vec_len) {
+  std::vector<runtime::Candidate> rows =
+      planner.candidates(collective, grid, vec_len);
+  std::erase_if(rows, [](const runtime::Candidate& row) {
+    return row.desc->model_generated;
+  });
+  return rows;
+}
+
+RegionCell region_cell(const runtime::Planner& planner,
+                       runtime::Collective collective, GridShape grid,
+                       u32 vec_len, std::string_view vendor) {
+  const std::vector<runtime::Candidate> rows =
+      fixed_candidates(planner, collective, grid, vec_len);
+  const runtime::Candidate* best = runtime::best_candidate(rows);
+  WSR_ASSERT(best != nullptr, "no applicable fixed algorithm");
+  RegionCell cell{best->desc->name, best->prediction.cycles, 0};
+  for (const runtime::Candidate& row : rows) {
+    if (row.desc->name == vendor) cell.vendor_cycles = row.prediction.cycles;
+  }
+  return cell;
+}
+
+runtime::Plan plan_mixed_xy(const runtime::Planner& planner, GridShape grid,
+                            u32 vec_len) {
+  const runtime::PlanRequest snake{runtime::Collective::Reduce, grid, vec_len,
+                                   "Snake"};
+  const runtime::PlanRequest mixed{runtime::Collective::Reduce, grid, vec_len,
+                                   "X-Y Mixed"};
+  return planner.plan(
+      planner.predict(mixed).cycles < planner.predict(snake).cycles ? mixed
+                                                                    : snake);
+}
+
 double Measurement::err() const {
   WSR_ASSERT(simulated(), "err() on an unsimulated point");
   WSR_ASSERT(predicted > 0, "err() with a non-positive prediction");

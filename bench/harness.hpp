@@ -18,12 +18,13 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "collectives/collectives.hpp"
 #include "flowsim/flowsim.hpp"
-#include "model/selector.hpp"
+#include "model/costs2d.hpp"
 #include "registry/algorithm_registry.hpp"
 #include "runtime/planner.hpp"
 #include "runtime/verify.hpp"
@@ -39,6 +40,32 @@ std::vector<u32> vec_len_sweep_wavelets(u32 max_wavelets = 8192);
 std::vector<u32> pe_sweep();
 
 std::string bytes_label(u32 wavelets);
+
+// --- the paper's region maps (Figures 8 and 10) -----------------------------
+
+/// The planner's candidate table for (collective, grid, vec_len) without its
+/// DP-generated rows: the fixed algorithms the paper's Figures 8 and 10 map.
+std::vector<runtime::Candidate> fixed_candidates(
+    const runtime::Planner& planner, runtime::Collective collective,
+    GridShape grid, u32 vec_len);
+
+/// One region-map cell: the fastest fixed algorithm (best_candidate over
+/// fixed_candidates), its predicted cycles, and the predicted cycles of the
+/// vendor baseline row named `vendor`.
+struct RegionCell {
+  std::string winner;
+  i64 cycles = 0;
+  i64 vendor_cycles = 0;
+};
+RegionCell region_cell(const runtime::Planner& planner,
+                       runtime::Collective collective, GridShape grid,
+                       u32 vec_len, std::string_view vendor);
+
+/// The mixed-axis X-Y Reduce extension (which subsumes every same-axis X-Y
+/// assignment) against the Snake, which still owns the bandwidth-bound
+/// corner: plans whichever predict() prices cheaper, Snake on a tie.
+runtime::Plan plan_mixed_xy(const runtime::Planner& planner, GridShape grid,
+                            u32 vec_len);
 
 // --- measurement ------------------------------------------------------------
 

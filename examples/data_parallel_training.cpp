@@ -67,7 +67,8 @@ int main() {
   const GridShape small{8, 8};
   bool all_ok = true;
   for (const Layer& l : layers) {
-    const runtime::Plan plan = planner.plan_allreduce_2d(small, l.grad_wavelets);
+    const runtime::Plan plan = planner.plan(
+        {runtime::Collective::AllReduce, small, l.grad_wavelets, ""});
     const runtime::VerifyResult r = runtime::verify_on_fabric(plan.schedule);
     all_ok &= r.ok;
     std::printf("verify %-10s on %ux%u: %s (%lld cycles)\n", l.name,

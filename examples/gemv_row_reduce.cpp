@@ -27,8 +27,10 @@ int main() {
     // Local compute: each PE produces a length-m partial result. (The
     // on-PE GEMV itself is dense FMA work; this example focuses on the
     // communication phase the paper optimizes.)
-    const runtime::Plan plan = planner.plan_reduce_1d(P, m);
-    const runtime::Plan chain = planner.plan_reduce_1d(P, m, ReduceAlgo::Chain);
+    const runtime::Plan plan =
+        planner.plan({runtime::Collective::Reduce, {P, 1}, m, ""});
+    const runtime::Plan chain =
+        planner.plan({runtime::Collective::Reduce, {P, 1}, m, "Chain"});
 
     // Execute the chosen plan with real data: PE p's partial y is
     // y_p[i] = p + i (integer-valued, so the f32 sum is exact).

@@ -29,7 +29,8 @@ int main() {
   // 2. Ask the model which AllReduce to run for 64 PEs and a 1 KB vector.
   const u32 num_pes = 64;
   const u32 vec_len = 256;  // wavelets (f32 elements)
-  const runtime::Plan plan = planner.plan_allreduce_1d(num_pes, vec_len);
+  const runtime::Plan plan = planner.plan(
+      {runtime::Collective::AllReduce, {num_pes, 1}, vec_len, ""});
   std::printf("chosen algorithm : %s\n", plan.algorithm.c_str());
   std::printf("predicted cycles : %lld (%.2f us at 850 MHz)\n",
               static_cast<long long>(plan.prediction.cycles),

@@ -73,9 +73,6 @@ Schedule make_reduce_2d_xy_mixed(ReduceAlgo algo_x, ReduceAlgo algo_y,
 /// Snake Reduce: chain over the boustrophedon path.
 Schedule make_reduce_2d_snake(GridShape grid, u32 vec_len);
 
-Schedule make_reduce_2d(Reduce2DAlgo algo2d, ReduceAlgo xy_algo, GridShape grid,
-                        u32 vec_len, const autogen::AutoGenModel* model = nullptr);
-
 /// X-Y AllReduce: (reduce+bcast) along every row, then along every column.
 Schedule make_allreduce_2d_xy(ReduceAlgo algo, GridShape grid, u32 vec_len,
                               const autogen::AutoGenModel* model = nullptr);

@@ -129,13 +129,6 @@ Schedule make_reduce_2d_snake(GridShape grid, u32 vec_len) {
   return s;
 }
 
-Schedule make_reduce_2d(Reduce2DAlgo algo2d, ReduceAlgo xy_algo, GridShape grid,
-                        u32 vec_len, const autogen::AutoGenModel* model) {
-  return algo2d == Reduce2DAlgo::Snake
-             ? make_reduce_2d_snake(grid, vec_len)
-             : make_reduce_2d_xy(xy_algo, grid, vec_len, model);
-}
-
 Schedule make_allreduce_2d_xy(ReduceAlgo algo, GridShape grid, u32 vec_len,
                               const autogen::AutoGenModel* model) {
   WSR_ASSERT(grid.width >= 2 && grid.height >= 2, "xy needs a 2D grid");

@@ -16,26 +16,10 @@ enum class ReduceAlgo : u8 {
 };
 inline constexpr ReduceAlgo kFixedReduceAlgos[] = {
     ReduceAlgo::Star, ReduceAlgo::Chain, ReduceAlgo::Tree, ReduceAlgo::TwoPhase};
-inline constexpr ReduceAlgo kAllReduceAlgosBase[] = {
+inline constexpr ReduceAlgo kReduceAlgos[] = {
     ReduceAlgo::Star, ReduceAlgo::Chain, ReduceAlgo::Tree, ReduceAlgo::TwoPhase,
     ReduceAlgo::AutoGen};
 
-/// 1D AllReduce patterns (paper Section 6). Reduce-then-Broadcast variants
-/// are parameterized by the underlying ReduceAlgo.
-enum class AllReduceAlgo : u8 {
-  ReduceThenBroadcast,  ///< any ReduceAlgo followed by flooding broadcast.
-  Ring,                 ///< reduce-scatter + allgather ring (classic).
-  Butterfly,            ///< recursive halving + doubling (predicted only).
-};
-
-/// 2D Reduce patterns (paper Section 7).
-enum class Reduce2DAlgo : u8 {
-  XY,     ///< 1D reduce along every row, then along the root column.
-  Snake,  ///< chain mapped onto a boustrophedon path over the whole grid.
-};
-
 const char* name(ReduceAlgo a);
-const char* name(AllReduceAlgo a);
-const char* name(Reduce2DAlgo a);
 
 }  // namespace wsr

@@ -17,23 +17,6 @@ const char* name(ReduceAlgo a) {
   return "?";
 }
 
-const char* name(AllReduceAlgo a) {
-  switch (a) {
-    case AllReduceAlgo::ReduceThenBroadcast: return "Reduce+Bcast";
-    case AllReduceAlgo::Ring: return "Ring";
-    case AllReduceAlgo::Butterfly: return "Butterfly";
-  }
-  return "?";
-}
-
-const char* name(Reduce2DAlgo a) {
-  switch (a) {
-    case Reduce2DAlgo::XY: return "X-Y";
-    case Reduce2DAlgo::Snake: return "Snake";
-  }
-  return "?";
-}
-
 Prediction predict_message_1d(u32 num_pes, u32 vec_len, const MachineParams& mp) {
   WSR_ASSERT(num_pes >= 2 && vec_len >= 1, "message needs P >= 2, B >= 1");
   const i64 P = num_pes, B = vec_len;

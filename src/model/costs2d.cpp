@@ -55,16 +55,6 @@ Prediction predict_xy_ring_allreduce(GridShape grid, u32 vec_len,
   return sequential(row, col);
 }
 
-Prediction predict_reduce2d_then_broadcast(Reduce2DAlgo reduce_algo,
-                                           ReduceAlgo xy_pattern, GridShape grid,
-                                           u32 vec_len, const MachineParams& mp) {
-  const Prediction reduce =
-      reduce_algo == Reduce2DAlgo::Snake
-          ? predict_snake_reduce(grid, vec_len, mp)
-          : predict_xy_reduce(xy_pattern, xy_pattern, grid, vec_len, mp);
-  return sequential(reduce, predict_broadcast_2d(grid, vec_len, mp));
-}
-
 Prediction predict_allgather_xy(GridShape grid, u32 vec_len,
                                 const MachineParams& mp) {
   WSR_ASSERT(grid.num_pes() >= 2 && vec_len >= 1,

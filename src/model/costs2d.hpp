@@ -26,7 +26,9 @@ Prediction predict_xy_reduce(ReduceAlgo algo_x, ReduceAlgo algo_y, GridShape gri
 Prediction predict_snake_reduce(GridShape grid, u32 vec_len, const MachineParams& mp);
 
 /// Section 7.4, first variant: AllReduce per row then per column.
-/// Each axis uses Reduce-then-Broadcast with the given pattern.
+/// Each axis uses Reduce-then-Broadcast with the given pattern. (The second
+/// variant, Snake Reduce then 2D Broadcast, is the registry's Snake+Bcast
+/// descriptor.)
 Prediction predict_xy_allreduce(ReduceAlgo algo, GridShape grid, u32 vec_len,
                                 const MachineParams& mp);
 
@@ -34,11 +36,6 @@ Prediction predict_xy_allreduce(ReduceAlgo algo, GridShape grid, u32 vec_len,
 /// "X-Y Ring" series).
 Prediction predict_xy_ring_allreduce(GridShape grid, u32 vec_len,
                                      const MachineParams& mp);
-
-/// Section 7.4, second variant: 2D Reduce followed by 2D Broadcast.
-Prediction predict_reduce2d_then_broadcast(Reduce2DAlgo reduce_algo,
-                                           ReduceAlgo xy_pattern, GridShape grid,
-                                           u32 vec_len, const MachineParams& mp);
 
 /// Lemma 7.2: lower bound for any 2D Reduce:
 /// T* >= max(B, B/8 + M + N - 1) + 2*T_R + 1.

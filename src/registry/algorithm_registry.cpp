@@ -1,9 +1,7 @@
 #include "registry/algorithm_registry.hpp"
 
 #include <algorithm>
-#include <mutex>
-
-#include "autogen/dp.hpp"
+#include <tuple>
 
 namespace wsr::registry {
 
@@ -24,26 +22,6 @@ const char* name(Dims d) {
     case Dims::TwoD: return "2D";
   }
   return "?";
-}
-
-PlanContext make_context(u32 max_pes, MachineParams mp) {
-  struct Holder {
-    std::mutex mu;
-    u32 max_pes;
-    MachineParams mp;
-    std::unique_ptr<autogen::AutoGenModel> model;
-  };
-  auto holder = std::make_shared<Holder>();
-  holder->max_pes = max_pes;
-  holder->mp = mp;
-  return {mp, [holder]() -> const autogen::AutoGenModel& {
-            std::lock_guard<std::mutex> lock(holder->mu);
-            if (!holder->model) {
-              holder->model = std::make_unique<autogen::AutoGenModel>(
-                  holder->max_pes, holder->mp);
-            }
-            return *holder->model;
-          }};
 }
 
 // Defined in builtin_algorithms.cpp; registers every paper algorithm plus

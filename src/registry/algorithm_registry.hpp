@@ -1,28 +1,25 @@
 // The unified algorithm registry: the single extension point for collective
 // algorithms across the model, the schedule builders and the runtime.
 //
-// Before this registry existed, the library's algorithm knowledge was
-// duplicated three times: model/selector.cpp enumerated fixed candidate
-// tables, runtime/planner.cpp re-implemented per-algorithm predict_*/plan_*
-// switch logic, and collectives/ exposed a parallel family of make_*
-// constructors dispatched by enum switches. Following the pluggable
-// cost-model idiom of the Halide autoscheduler, every algorithm now
-// registers ONE descriptor carrying its name, applicability predicate, cost
-// model hook and schedule builder; selection, prediction and construction
-// are registry queries. Adding an algorithm means registering one descriptor
-// and it automatically appears in the planner, the selector tables, every
-// figure bench and the wsr_plan CLI.
+// Every algorithm registers ONE descriptor carrying its name, applicability
+// predicate, cost model hook and schedule builder, following the pluggable
+// cost-model idiom of the Halide autoscheduler. Selection, prediction and
+// construction are registry queries: runtime::Planner::candidates() prices
+// a family's descriptors into the one candidate table that selection, the
+// figure benches and the tests read. Adding an algorithm means registering
+// one descriptor, and it automatically appears in the planner's candidate
+// table, every figure bench and the wsr_plan CLI.
 //
 // Layering (see DESIGN.md §1/§6): the registry sits above model/, autogen/
 // and collectives/ (its builtin descriptors call into all three) and below
-// runtime/. model/selector.hpp remains as a thin compatibility facade whose
-// candidate tables are registry queries. One deliberate back-edge exists:
-// collectives' generic drivers (make_reduce_1d and the X-Y compositions)
-// resolve per-pattern lane construction through `build_lane` lookups here,
-// so the enum-addressed public constructors keep working while the
-// per-algorithm knowledge lives in exactly one place. That forms a cycle
-// *within* the single library, which is fine at link time; header-wise the
-// graph stays acyclic (collectives headers never include this one).
+// runtime/, which owns the PlanContext's Auto-Gen model. One deliberate
+// back-edge exists: collectives' generic drivers (make_reduce_1d and the
+// X-Y compositions) resolve per-pattern lane construction through
+// `build_lane` lookups here, so the enum-addressed public constructors keep
+// working while the per-algorithm knowledge lives in exactly one place. That
+// forms a cycle *within* the single library, which is fine at link time;
+// header-wise the graph stays acyclic (collectives headers never include
+// this one).
 #pragma once
 
 #include <functional>
@@ -62,15 +59,11 @@ constexpr Dims dims_for(GridShape grid) {
 /// Shared state handed to every descriptor hook: the machine parameters and
 /// a lazy accessor for the Auto-Gen DP model (only built when a generated
 /// algorithm's cost/build hook actually needs it; the table fill is the one
-/// expensive planning step).
+/// expensive planning step). runtime::Planner::context() makes one.
 struct PlanContext {
   MachineParams mp;
   std::function<const autogen::AutoGenModel&()> autogen;
 };
-
-/// A self-contained context that lazily builds (and owns, shared across
-/// copies) an AutoGenModel sized for lanes up to `max_pes`. Thread-safe.
-PlanContext make_context(u32 max_pes, MachineParams mp = {});
 
 /// Lane-level reduce builder: appends the pattern onto an existing lane of a
 /// (possibly larger) schedule. This is what the 2D X-Y compositions and the
@@ -110,8 +103,9 @@ struct AlgorithmDescriptor {
   /// pinned to the paper's candidate sets.
   bool auto_selectable = true;
 
-  /// True for DP-generated entries (Auto-Gen based). The selector's fixed
-  /// candidate tables (paper Figures 8/10) filter these out.
+  /// True for DP-generated entries (Auto-Gen based). The paper's Figures 8
+  /// and 10 map the fixed algorithms only, so they skip these rows of the
+  /// planner's candidate table.
   bool model_generated = false;
 
   /// Whether the algorithm can be *constructed* for (grid, vec_len) —

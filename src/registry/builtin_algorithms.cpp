@@ -6,8 +6,8 @@
 //
 // This file is the ONLY place that knows the full algorithm list. The
 // per-algorithm `if` below (fixed predict vs. DP model) is the registry's
-// internal plumbing; everything above it — selector tables, planner
-// enumeration, collectives dispatch, figures, CLI — is a registry query.
+// internal plumbing; everything above it — the planner's candidate table,
+// collectives dispatch, figures, CLI — is a registry query.
 #include <mutex>
 #include <utility>
 
@@ -130,9 +130,9 @@ std::pair<ReduceAlgo, ReduceAlgo> best_mixed_pair(GridShape grid, u32 vec_len,
                                                   const PlanContext& ctx) {
   ReduceAlgo bx = ReduceAlgo::Star, by = ReduceAlgo::Star;
   i64 best = INT64_MAX;
-  for (ReduceAlgo ax : kAllReduceAlgosBase) {
+  for (ReduceAlgo ax : kReduceAlgos) {
     const i64 cx = reduce_1d_cost(ax, grid.width, vec_len, ctx).cycles;
-    for (ReduceAlgo ay : kAllReduceAlgosBase) {
+    for (ReduceAlgo ay : kReduceAlgos) {
       const i64 c =
           cx + reduce_1d_cost(ay, grid.height, vec_len, ctx).cycles;
       if (c < best) {
@@ -196,7 +196,7 @@ void register_1d(AlgorithmRegistry& reg) {
   });
 
   // --- Reduce + Reduce-then-Broadcast AllReduce, one pair per pattern ------
-  for (ReduceAlgo algo : kAllReduceAlgosBase) {
+  for (ReduceAlgo algo : kReduceAlgos) {
     const bool generated = algo == ReduceAlgo::AutoGen;
     AlgorithmDescriptor reduce{
         .name = wsr::name(algo),
@@ -373,7 +373,7 @@ void register_2d(AlgorithmRegistry& reg) {
   });
 
   // --- X-Y compositions, one Reduce/AllReduce pair per pattern -------------
-  for (ReduceAlgo algo : kAllReduceAlgosBase) {
+  for (ReduceAlgo algo : kReduceAlgos) {
     const bool generated = algo == ReduceAlgo::AutoGen;
     reg.register_algorithm({
         .name = std::string("X-Y ") + wsr::name(algo),

@@ -12,6 +12,18 @@ namespace wsr::runtime {
 
 namespace {
 
+/// Decimal digits only (no sign, no spaces), fitting in a u32.
+std::optional<u32> parse_u32(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  u64 v = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    v = v * 10 + static_cast<u64>(c - '0');
+    if (v > 0xffffffffull) return std::nullopt;
+  }
+  return static_cast<u32>(v);
+}
+
 std::string fmt(const char* format, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, format, v);
@@ -84,30 +96,35 @@ std::string plan_cache_counters_json(const PlanCache& cache) {
 }
 
 std::optional<GridShape> parse_grid(const std::string& text) {
-  const auto parse_extent = [](const std::string& s) -> std::optional<u32> {
-    if (s.empty()) return std::nullopt;
-    u64 v = 0;
-    for (char c : s) {
-      if (c < '0' || c > '9') return std::nullopt;
-      v = v * 10 + static_cast<u64>(c - '0');
-      if (v > 0xffffffffull) return std::nullopt;
-    }
-    return static_cast<u32>(v);
-  };
   GridShape grid;
   const auto x = text.find('x');
   if (x == std::string::npos) {
-    const auto w = parse_extent(text);
+    const auto w = parse_u32(text);
     if (!w.has_value()) return std::nullopt;
     grid = {*w, 1};
   } else {
-    const auto w = parse_extent(text.substr(0, x));
-    const auto h = parse_extent(text.substr(x + 1));
+    const auto w = parse_u32(text.substr(0, x));
+    const auto h = parse_u32(text.substr(x + 1));
     if (!w.has_value() || !h.has_value()) return std::nullopt;
     grid = {*w, *h};
   }
   if (grid.width == 0 || grid.height == 0) return std::nullopt;
   return grid;
+}
+
+std::string grid_error(GridShape grid) {
+  if (grid.num_pes() < 2) return "need at least 2 PEs";
+  if (grid.width > kMaxGridExtent || grid.height > kMaxGridExtent) {
+    return "grid width and height must be at most " +
+           std::to_string(kMaxGridExtent);
+  }
+  return "";
+}
+
+std::optional<u32> parse_ramp_latency(const std::string& text) {
+  const auto tr = parse_u32(text);
+  if (!tr.has_value() || *tr > kMaxRampLatency) return std::nullopt;
+  return tr;
 }
 
 std::string resolve_algorithm_name(registry::Collective c, registry::Dims dims,

@@ -3,8 +3,9 @@
 // CI smoke test diffs them; docs/serving.md documents the schema).
 //
 // Also home to the request-side helpers both front ends share: grid parsing
-// ("512" / "64x64") and registry algorithm-name resolution with the CLI's
-// short forms ("Chain" -> "Chain+Bcast" / "X-Y Chain" depending on family).
+// ("512" / "64x64") and bounds, ramp-latency parsing, and registry
+// algorithm-name resolution with the CLI's short forms ("Chain" ->
+// "Chain+Bcast" / "X-Y Chain" depending on family).
 #pragma once
 
 #include <optional>
@@ -41,6 +42,23 @@ std::string plan_cache_counters_json(const PlanCache& cache);
 /// Parses "512" (a 1D row) or "64x64"; nullopt when malformed or either
 /// extent is zero.
 std::optional<GridShape> parse_grid(const std::string& text);
+
+/// The largest grid width or height a front end plans. It covers a whole
+/// WSE-2 wafer and bounds the worst accepted request: the Auto-Gen DP table
+/// grows with the largest extent, and far past it planning aborts or runs
+/// out of memory.
+inline constexpr u32 kMaxGridExtent = 1024;
+
+/// Why a front end refuses to plan `grid` (fewer than 2 PEs, or an extent
+/// above kMaxGridExtent); empty when it can be planned.
+std::string grid_error(GridShape grid);
+
+/// The largest ramp latency T_R a front end accepts.
+inline constexpr u32 kMaxRampLatency = 1024;
+
+/// Parses a ramp latency: decimal digits only, at most kMaxRampLatency;
+/// nullopt otherwise.
+std::optional<u32> parse_ramp_latency(const std::string& text);
 
 /// Resolves a user-supplied algorithm name against the registry, accepting
 /// the short forms of the underlying 1D pattern names ("Chain" resolves to

@@ -5,16 +5,18 @@
 // the planner predicts every registered candidate's runtime with the
 // performance model, picks the best, and emits the corresponding Schedule.
 //
-// Enumeration and dispatch flow through the AlgorithmRegistry: `plan()` is
-// the single registry-driven entry point and the legacy predict_*/plan_*
-// methods are thin compatibility wrappers over it. `plan_many()` plans a
-// batch of independent requests on worker threads, optionally backed by a
-// shared PlanCache (runtime/plan_cache.hpp) — the serving-path API.
+// Enumeration and dispatch flow through the AlgorithmRegistry. The planner
+// offers one priced candidate table per request (`candidates()`, one row per
+// auto-selectable descriptor of the family), one named price (`predict()`),
+// and one selection rule over the table (`best_candidate()`); `plan()` is
+// the best row followed by its build, so what a figure or an explanation
+// reads from the table is exactly what the planner selects on. `plan_many()`
+// plans a batch of independent requests on worker threads, optionally backed
+// by a shared PlanCache (runtime/plan_cache.hpp) — the serving-path API.
 #pragma once
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,7 +24,6 @@
 #include "autogen/dp.hpp"
 #include "autogen/lower_bound.hpp"
 #include "collectives/collectives.hpp"
-#include "model/selector.hpp"
 #include "registry/algorithm_registry.hpp"
 
 namespace wsr::runtime {
@@ -59,6 +60,21 @@ struct PlanRequest {
   friend bool operator==(const PlanRequest&, const PlanRequest&) = default;
 };
 
+/// One row of a candidate table: a descriptor of the request's family,
+/// whether it can be built for (grid, vec_len), and its model prediction
+/// priced for the machine's link overrides. Only applicable rows are
+/// priced; an inapplicable row's prediction stays zero.
+struct Candidate {
+  const registry::AlgorithmDescriptor* desc = nullptr;
+  bool applicable = false;
+  Prediction prediction;
+};
+
+/// The one selection rule: the first applicable row with the fewest
+/// predicted cycles, or null when no row applies. Over a name-ordered
+/// table (Planner::candidates) ties go to the smallest name.
+const Candidate* best_candidate(std::span<const Candidate> rows);
+
 class PlanCache;
 enum class PlanSource : u8;
 
@@ -66,19 +82,20 @@ enum class PlanSource : u8;
 /// for one machine parameterization.
 ///
 /// Thread-safety: a const Planner is safe to share across threads —
-/// plan()/predict_* are logically const, and the two lazy singletons
-/// (Auto-Gen model, lower bound) are built once behind an internal mutex.
-/// plan_many relies on exactly this. Copies (and with_link_overrides
-/// planners) share the singletons.
+/// plan()/predict()/candidates() are logically const, and the two lazy
+/// singletons (Auto-Gen model, lower bound) are built once behind an
+/// internal mutex. plan_many relies on exactly this. Copies (and
+/// with_link_overrides planners) share the singletons.
 ///
 /// Determinism: planning is a pure function of (max_pes-independent
-/// request, MachineParams). Selection evaluates name-sorted candidates
-/// with a strict < scan, so ties always break to the lexicographically
-/// smallest registration name; schedule builders are deterministic. Two
-/// planners with equal MachineParams therefore produce byte-identical
-/// plans for the same request — the invariant that makes plans cacheable
-/// across processes (PlanCache keys carry MachineParams but not max_pes)
-/// and lets the wsrd daemon diff bit-exact against the wsr_plan CLI.
+/// request, MachineParams). Selection is best_candidate over the
+/// name-sorted candidate table, so ties always break to the
+/// lexicographically smallest registration name; schedule builders are
+/// deterministic. Two planners with equal MachineParams therefore produce
+/// byte-identical plans for the same request — the invariant that makes
+/// plans cacheable across processes (PlanCache keys carry MachineParams but
+/// not max_pes) and lets the wsrd daemon diff bit-exact against the
+/// wsr_plan CLI.
 class Planner {
  public:
   /// `max_pes` bounds the Auto-Gen DP table (use the largest row/column
@@ -99,21 +116,32 @@ class Planner {
   const autogen::LowerBound& lower_bound() const;
 
   /// The registry context for this planner: its machine parameters plus the
-  /// shared lazily-built Auto-Gen model.
+  /// shared lazily-built Auto-Gen model. The context refers to this
+  /// planner, so the planner must outlive it.
   registry::PlanContext context() const;
 
   // --- the registry-driven core --------------------------------------------
 
-  /// Plans one request: explicit algorithm lookup when `req.algorithm` is
-  /// set, model-driven selection over the registry's applicable candidates
-  /// otherwise (fewest predicted cycles, ties broken by registration name).
+  /// The cost of the algorithm `req` names, priced for the machine's link
+  /// overrides (model/degraded.hpp; identity on a pristine machine).
   ///
-  /// Contract: `req.algorithm`, when set, must be an exact registry name
-  /// for the request's (collective, dims) family *and* applicable to
+  /// Contract: `req.algorithm` must be an exact registry name for the
+  /// request's (collective, dims) family *and* applicable to
   /// (grid, vec_len) — both are asserted, so front ends validate first
-  /// (wsr_plan and wsrd resolve/validate via runtime/plan_json.hpp). The
-  /// returned Plan is self-contained and immutable-by-convention: safe to
-  /// share, cache, and serialize (runtime/persistent_plan_cache.hpp).
+  /// (wsr_plan and wsrd resolve/validate via runtime/plan_json.hpp).
+  Prediction predict(const PlanRequest& req) const;
+
+  /// The candidate table of one request family: one row per auto-selectable
+  /// descriptor of (collective, dims_for(grid)), in name order. Rows are
+  /// priced exactly as predict() would price them, and only when applicable.
+  std::vector<Candidate> candidates(Collective collective, GridShape grid,
+                                    u32 vec_len) const;
+
+  /// Plans one request: the named algorithm when `req.algorithm` is set
+  /// (same contract as predict()), otherwise
+  /// best_candidate(candidates(...)), which asserts that some row applies.
+  /// The returned Plan is self-contained and immutable-by-convention: safe
+  /// to share, cache, and serialize (runtime/persistent_plan_cache.hpp).
   Plan plan(const PlanRequest& req) const;
 
   /// Plans a batch of independent requests in parallel with std::thread
@@ -132,35 +160,8 @@ class Planner {
       std::span<const PlanRequest> requests, PlanCache* cache = nullptr,
       u32 num_threads = 0, std::vector<PlanSource>* sources = nullptr) const;
 
-  // --- predictions (cycles), compatibility wrappers ------------------------
-  Prediction predict_reduce_1d(ReduceAlgo algo, u32 num_pes, u32 vec_len) const;
-  Prediction predict_allreduce_1d(ReduceAlgo algo, u32 num_pes, u32 vec_len) const;
-  Prediction predict_reduce_2d(Reduce2DAlgo algo2d, ReduceAlgo xy_algo,
-                               GridShape grid, u32 vec_len) const;
-  Prediction predict_allreduce_2d_xy(ReduceAlgo algo, GridShape grid,
-                                     u32 vec_len) const;
-
   /// T*(P, B): the paper's 1D Reduce lower bound, in cycles.
   double reduce_1d_lower_bound(u32 num_pes, u32 vec_len) const;
-
-  // --- plans (model-selected algorithm when `algo` is omitted) --------------
-  Plan plan_reduce_1d(u32 num_pes, u32 vec_len,
-                      std::optional<ReduceAlgo> algo = {}) const;
-  Plan plan_allreduce_1d(u32 num_pes, u32 vec_len,
-                         std::optional<ReduceAlgo> algo = {}) const;
-  Plan plan_broadcast_1d(u32 num_pes, u32 vec_len) const;
-  Plan plan_reduce_2d(GridShape grid, u32 vec_len,
-                      std::optional<Reduce2DAlgo> algo2d = {},
-                      std::optional<ReduceAlgo> xy_algo = {}) const;
-
-  /// X-Y Reduce with independently chosen per-axis patterns (our extension:
-  /// the paper always uses the same pattern on both axes). On strongly
-  /// rectangular grids the two axes sit in different regimes of Fig. 1 and
-  /// mixing wins; on square grids this degenerates to plan_reduce_2d.
-  Plan plan_reduce_2d_mixed(GridShape grid, u32 vec_len) const;
-  Plan plan_allreduce_2d(GridShape grid, u32 vec_len,
-                         std::optional<ReduceAlgo> xy_algo = {}) const;
-  Plan plan_broadcast_2d(GridShape grid, u32 vec_len) const;
 
  private:
   /// The lazy singletons; `mu` guards them, since plan_many workers share

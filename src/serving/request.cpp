@@ -148,8 +148,9 @@ Request parse_request(const std::string& text) {
     line.error = "\"grid\" must be a string or an object";
     return line;
   }
-  if (line.req.grid.num_pes() < 2) {
-    line.error = "need at least 2 PEs";
+  if (const std::string why = runtime::grid_error(line.req.grid);
+      !why.empty()) {
+    line.error = why;
     return line;
   }
 
@@ -173,12 +174,14 @@ Request parse_request(const std::string& text) {
     line.req.vec_len = static_cast<u32>(*vec_len);
   }
 
-  if (const json::Value* tr = v.get("tr")) {
-    if (!tr->is_number() || tr->number < 0 || tr->number > 1024) {
-      line.error = "\"tr\" must be a small non-negative ramp latency";
+  if (v.get("tr") != nullptr) {
+    const auto tr = v.get_uint("tr");
+    if (!tr.has_value() || *tr > runtime::kMaxRampLatency) {
+      line.error = "\"tr\" must be an integer ramp latency in 0.." +
+                   std::to_string(runtime::kMaxRampLatency);
       return line;
     }
-    line.mp.ramp_latency = static_cast<u32>(tr->number);
+    line.mp.ramp_latency = static_cast<u32>(*tr);
   }
 
   // Degraded-fabric description: an array of "X,Y,DIR[,FACTOR]" link

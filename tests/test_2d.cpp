@@ -56,10 +56,14 @@ TEST_P(XYReduce, SimulatorTracksModel) {
   const auto r = runtime::verify_on_fabric(s);
   ASSERT_TRUE(r.ok) << r.error;
   const runtime::Planner planner(16, kMp);
-  testing::expect_close(
-      r.cycles,
-      planner.predict_reduce_2d(Reduce2DAlgo::XY, algo, {w, h}, b).cycles, 0.25,
-      48, "xy reduce cycles");
+  testing::expect_close(r.cycles,
+                        planner
+                            .predict({runtime::Collective::Reduce,
+                                      {w, h},
+                                      b,
+                                      std::string("X-Y ") + name(algo)})
+                            .cycles,
+                        0.25, 48, "xy reduce cycles");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -116,9 +120,13 @@ TEST(AllReduce2D, XYTimingTracksModel) {
   for (ReduceAlgo a : {ReduceAlgo::Chain, ReduceAlgo::TwoPhase}) {
     const auto r =
         testing::verify_ok(collectives::make_allreduce_2d_xy(a, g, b));
-    testing::expect_close(r.cycles,
-                          planner.predict_allreduce_2d_xy(a, g, b).cycles, 0.25,
-                          64, "xy allreduce cycles");
+    testing::expect_close(
+        r.cycles,
+        planner
+            .predict({runtime::Collective::AllReduce, g, b,
+                      std::string("X-Y ") + name(a)})
+            .cycles,
+        0.25, 64, "xy allreduce cycles");
   }
 }
 

@@ -40,8 +40,13 @@ TEST_P(AllReduce1D, SimulatorTracksModel) {
   ASSERT_TRUE(r.ok) << r.error;
   const runtime::Planner planner(64, kMp);
   testing::expect_close(r.cycles,
-                        planner.predict_allreduce_1d(algo, p, b).cycles, 0.20,
-                        40, "allreduce cycles");
+                        planner
+                            .predict({runtime::Collective::AllReduce,
+                                      {p, 1},
+                                      b,
+                                      std::string(name(algo)) + "+Bcast"})
+                            .cycles,
+                        0.20, 40, "allreduce cycles");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "registry/algorithm_registry.hpp"
+#include "runtime/planner.hpp"
 
 namespace wsr {
 namespace {
@@ -20,7 +21,8 @@ using registry::Dims;
 constexpr u32 kMaxPes = 16;
 
 const registry::PlanContext& shared_context() {
-  static const registry::PlanContext ctx = registry::make_context(kMaxPes);
+  static const runtime::Planner planner(kMaxPes);
+  static const registry::PlanContext ctx = planner.context();
   return ctx;
 }
 

@@ -11,6 +11,7 @@
 
 #include "conformance.hpp"
 #include "registry/algorithm_registry.hpp"
+#include "runtime/planner.hpp"
 
 namespace wsr {
 namespace {
@@ -32,7 +33,8 @@ TEST(ConformanceFuzz, RandomShapesAndDegradations) {
 
   const auto descriptors = conformance::all_descriptors();
   ASSERT_FALSE(descriptors.empty());
-  const registry::PlanContext ctx = registry::make_context(kMaxPes);
+  const runtime::Planner planner(kMaxPes);
+  const registry::PlanContext ctx = planner.context();
 
   u32 ran = 0;
   for (u32 iter = 0; iter < kIterations; ++iter) {

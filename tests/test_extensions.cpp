@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "collectives/collectives.hpp"
+#include "harness.hpp"
 #include "runtime/planner.hpp"
 #include "sim_test_utils.hpp"
 #include "wse/export.hpp"
@@ -27,8 +28,9 @@ TEST(MixedXY, PlannerNeverWorseThanSameAxisChoice) {
   for (GridShape g : {GridShape{512, 8}, GridShape{8, 512}, GridShape{64, 64},
                       GridShape{256, 16}}) {
     for (u32 b : {1u, 64u, 1024u}) {
-      const runtime::Plan mixed = planner.plan_reduce_2d_mixed(g, b);
-      const runtime::Plan same = planner.plan_reduce_2d(g, b);
+      const runtime::Plan mixed = bench::plan_mixed_xy(planner, g, b);
+      const runtime::Plan same =
+          planner.plan({runtime::Collective::Reduce, g, b, ""});
       EXPECT_LE(mixed.prediction.cycles, same.prediction.cycles)
           << g.width << "x" << g.height << " B=" << b;
     }
@@ -41,7 +43,7 @@ TEST(MixedXY, MixingWinsOnStronglyRectangularGrids) {
   // at least one same-axis assignment, and the planner's mixed choice should
   // use different patterns per axis.
   const runtime::Planner planner(512);
-  const runtime::Plan mixed = planner.plan_reduce_2d_mixed({512, 8}, 512);
+  const runtime::Plan mixed = bench::plan_mixed_xy(planner, {512, 8}, 512);
   EXPECT_NE(mixed.algorithm.find('/'), std::string::npos) << mixed.algorithm;
   testing::verify_ok(mixed.schedule);
 }

@@ -26,6 +26,7 @@
 #include "conformance.hpp"
 #include "flowsim/flowsim.hpp"
 #include "registry/algorithm_registry.hpp"
+#include "runtime/planner.hpp"
 
 namespace wsr {
 namespace {
@@ -81,7 +82,8 @@ TEST(FlowSimGolden, CyclesAreStable) {
   for (u32 tr : {2u, 5u}) {
     MachineParams mp;
     mp.ramp_latency = tr;
-    const registry::PlanContext ctx = registry::make_context(16, mp);
+    const runtime::Planner planner(16, mp);
+    const registry::PlanContext ctx = planner.context();
     for (const registry::AlgorithmDescriptor* d :
          conformance::all_descriptors()) {
       for (GridShape g : conformance::shapes_for(d->dims)) {

@@ -3,13 +3,29 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/math.hpp"
-#include "model/selector.hpp"
+#include "harness.hpp"
 
 namespace wsr {
 namespace {
 
 const MachineParams kMp{};  // T_R = 2, so 2*T_R + 1 = 5 cycles per depth unit.
+
+const runtime::Planner& planner() {
+  static const runtime::Planner p(512, kMp);
+  return p;
+}
+
+/// The fixed algorithm the model predicts fastest: best_candidate over the
+/// planner's candidate table without its Auto-Gen rows, as in the paper's
+/// Figures 8 and 10. One planner per binary, so its Auto-Gen rows fill one
+/// 512-PE DP table.
+std::string best_fixed(runtime::Collective c, u32 p, u32 b) {
+  const auto rows = bench::fixed_candidates(planner(), c, {p, 1}, b);
+  return runtime::best_candidate(rows)->desc->name;
+}
 
 TEST(Model1D, MessageMatchesPaperFormula) {
   // T = B + P + 2*T_R (Section 4.1).
@@ -109,24 +125,20 @@ TEST(Model1D, ReduceThenBroadcastAddsCycles) {
 // --- regime checks: who wins where (paper Section 5.7 / Fig. 8) ------------
 
 TEST(Model1D, StarWinsForScalars) {
-  const auto c = reduce_1d_candidates(512, 1, kMp);
-  EXPECT_EQ(c[best_candidate(c)].label, "Star");
+  EXPECT_EQ(best_fixed(runtime::Collective::Reduce, 512, 1), "Star");
 }
 
 TEST(Model1D, ChainWinsForHugeVectors) {
-  const auto c = reduce_1d_candidates(512, 1u << 17, kMp);
-  EXPECT_EQ(c[best_candidate(c)].label, "Chain");
+  EXPECT_EQ(best_fixed(runtime::Collective::Reduce, 512, 1u << 17), "Chain");
 }
 
 TEST(Model1D, TwoPhaseWinsForIntermediateVectors) {
   // Paper: "Two-phase is effective ... when P ~ B".
-  const auto c = reduce_1d_candidates(512, 512, kMp);
-  EXPECT_EQ(c[best_candidate(c)].label, "TwoPhase");
+  EXPECT_EQ(best_fixed(runtime::Collective::Reduce, 512, 512), "TwoPhase");
 }
 
 TEST(Model1D, TreeWinsForSmallVectors) {
-  const auto c = reduce_1d_candidates(512, 16, kMp);
-  EXPECT_EQ(c[best_candidate(c)].label, "Tree");
+  EXPECT_EQ(best_fixed(runtime::Collective::Reduce, 512, 16), "Tree");
 }
 
 TEST(Model1D, RingBeatsChainBcastOnlyForLargeVectors) {
@@ -147,11 +159,11 @@ TEST(Model1D, ButterflyAndRingAreNeverBestForLargeP) {
   // The sweep covers the paper's range (up to 1/3 of PE memory = 4096
   // wavelets); beyond that Ring eventually wins its contention-bound band.
   for (u32 b : {1u, 16u, 256u, 1024u, 4096u}) {
-    const auto c = allreduce_1d_candidates(512, b, kMp);
     i64 best_rb = INT64_MAX;  // best reduce-then-broadcast candidate
-    for (const Candidate& cand : c) {
-      if (cand.label != "Ring") {
-        best_rb = std::min(best_rb, cand.prediction.cycles);
+    for (const runtime::Candidate& row : bench::fixed_candidates(
+             planner(), runtime::Collective::AllReduce, {512, 1}, b)) {
+      if (row.desc->name != "Ring") {
+        best_rb = std::min(best_rb, row.prediction.cycles);
       }
     }
     EXPECT_GT(predict_butterfly_allreduce(512, b, kMp).cycles, best_rb)

@@ -3,12 +3,28 @@
 
 #include <gtest/gtest.h>
 
-#include "model/selector.hpp"
+#include <string>
+
+#include "harness.hpp"
 
 namespace wsr {
 namespace {
 
 const MachineParams kMp{};
+
+const runtime::Planner& planner() {
+  static const runtime::Planner p(512, kMp);
+  return p;
+}
+
+/// The fixed algorithm the model predicts fastest: best_candidate over the
+/// planner's candidate table without its Auto-Gen rows, as in the paper's
+/// Figure 10. One planner per binary, so its Auto-Gen rows fill one 512-PE
+/// DP table.
+std::string best_fixed(runtime::Collective c, GridShape g, u32 b) {
+  const auto rows = bench::fixed_candidates(planner(), c, g, b);
+  return runtime::best_candidate(rows)->desc->name;
+}
 
 TEST(Model2D, BroadcastMatchesLemma71) {
   // T = B + M + N - 2 + 2*T_R + 1.
@@ -68,29 +84,25 @@ TEST(Model2D, SnakeOptimalForHugeVectors) {
 
 TEST(Model2D, RegimesMatchFig10) {
   const GridShape g{512, 512};
-  {  // scalars: X-Y star wins.
-    const auto c = allreduce_2d_candidates(g, 1, kMp);
-    EXPECT_EQ(c[best_candidate(c)].label, "X-Y Star");
-  }
-  {  // intermediate: X-Y Two-Phase.
-    const auto c = allreduce_2d_candidates(g, 1024, kMp);
-    EXPECT_EQ(c[best_candidate(c)].label, "X-Y TwoPhase");
-  }
-  {  // small grid + huge vector: the snake's bandwidth-bound region.
-    const auto c = allreduce_2d_candidates({8, 8}, 1u << 15, kMp);
-    EXPECT_EQ(c[best_candidate(c)].label, "Snake+Bcast");
-  }
+  const runtime::Collective c = runtime::Collective::AllReduce;
+  // scalars: X-Y star wins.
+  EXPECT_EQ(best_fixed(c, g, 1), "X-Y Star");
+  // intermediate: X-Y Two-Phase.
+  EXPECT_EQ(best_fixed(c, g, 1024), "X-Y TwoPhase");
+  // small grid + huge vector: the snake's bandwidth-bound region.
+  EXPECT_EQ(best_fixed(c, {8, 8}, 1u << 15), "Snake+Bcast");
 }
 
 TEST(Model2D, Reduce2DCandidatesCoverFiveAlgorithms) {
   // Registry-enumerated candidates arrive sorted by registration name.
-  const auto c = reduce_2d_candidates({16, 16}, 64, kMp);
+  const auto c = bench::fixed_candidates(
+      planner(), runtime::Collective::Reduce, {16, 16}, 64);
   ASSERT_EQ(c.size(), 5u);
-  EXPECT_EQ(c[0].label, "Snake");
-  EXPECT_EQ(c[1].label, "X-Y Chain");
-  EXPECT_EQ(c[2].label, "X-Y Star");
-  EXPECT_EQ(c[3].label, "X-Y Tree");
-  EXPECT_EQ(c[4].label, "X-Y TwoPhase");
+  EXPECT_EQ(c[0].desc->name, "Snake");
+  EXPECT_EQ(c[1].desc->name, "X-Y Chain");
+  EXPECT_EQ(c[2].desc->name, "X-Y Star");
+  EXPECT_EQ(c[3].desc->name, "X-Y Tree");
+  EXPECT_EQ(c[4].desc->name, "X-Y TwoPhase");
 }
 
 TEST(Model2D, XYRingIsSumOfAxisRings) {
@@ -100,11 +112,14 @@ TEST(Model2D, XYRingIsSumOfAxisRings) {
 }
 
 TEST(Model2D, ReduceThenBroadcastComposition) {
+  // Section 7.4's second variant: the Snake+Bcast descriptor's cost is the
+  // Snake Reduce followed by the 2D broadcast.
   const GridShape g{32, 32};
   const i64 snake = predict_snake_reduce(g, 4096, kMp).cycles;
   const i64 bcast = predict_broadcast_2d(g, 4096, kMp).cycles;
-  EXPECT_EQ(predict_reduce2d_then_broadcast(Reduce2DAlgo::Snake,
-                                            ReduceAlgo::Chain, g, 4096, kMp)
+  EXPECT_EQ(planner()
+                .predict({runtime::Collective::AllReduce, g, 4096,
+                          "Snake+Bcast"})
                 .cycles,
             snake + bcast);
 }

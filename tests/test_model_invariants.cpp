@@ -4,16 +4,36 @@
 // methodology relies on.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "autogen/dp.hpp"
 #include "common/math.hpp"
+#include "harness.hpp"
 #include "model/costs1d.hpp"
 #include "model/costs2d.hpp"
-#include "model/selector.hpp"
 
 namespace wsr {
 namespace {
 
 const MachineParams kMp{};
+
+const runtime::Planner& planner() {
+  static const runtime::Planner p(512, kMp);
+  return p;
+}
+
+/// The planner's candidate table without its Auto-Gen rows: the fixed
+/// patterns the paper's regime maps compare. One planner per binary, so its
+/// Auto-Gen rows fill one 512-PE DP table.
+std::vector<runtime::Candidate> fixed_reduce(GridShape g, u32 b) {
+  return bench::fixed_candidates(planner(), runtime::Collective::Reduce, g, b);
+}
+
+std::string best_fixed_reduce(u32 p, u32 b) {
+  return runtime::best_candidate(fixed_reduce({p, 1}, b))->desc->name;
+}
 
 struct Sweep {
   ReduceAlgo algo;
@@ -106,15 +126,14 @@ TEST(ModelAsymptotics, BroadcastIndependentOfPForLargeB) {
 TEST(ModelCrossovers, EachFixedPatternWinsSomewhere) {
   // The motivation for Auto-Gen: no fixed pattern dominates. Each of the
   // four fixed patterns must be the unique best for some (P, B).
-  bool wins[4] = {};
+  std::set<std::string> winners;
   for (u32 p = 4; p <= 512; p *= 2) {
     for (u32 b = 1; b <= 1 << 15; b *= 2) {
-      const auto c = reduce_1d_candidates(p, b, kMp);
-      wins[best_candidate(c)] = true;
+      winners.insert(best_fixed_reduce(p, b));
     }
   }
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(wins[i]) << "pattern " << i << " never wins";
+  for (ReduceAlgo a : kFixedReduceAlgos) {
+    EXPECT_EQ(winners.count(name(a)), 1u) << name(a) << " never wins";
   }
 }
 
@@ -124,8 +143,7 @@ TEST(ModelCrossovers, ReduceWinnerOrderIsStarTreeTwoPhaseChain) {
   const char* order[] = {"Star", "Tree", "TwoPhase", "Chain"};
   int stage = 0;
   for (u32 b = 1; b <= 1 << 17; b *= 2) {
-    const auto c = reduce_1d_candidates(512, b, kMp);
-    const std::string w = c[best_candidate(c)].label;
+    const std::string w = best_fixed_reduce(512, b);
     while (stage < 4 && w != order[stage]) ++stage;
     ASSERT_LT(stage, 4) << "winner " << w << " out of order at B=" << b;
   }
@@ -151,9 +169,10 @@ TEST(ModelInvariants2D, LowerBoundBelowEvery2DAlgorithm) {
   for (GridShape g : {GridShape{8, 8}, GridShape{64, 64}, GridShape{512, 512}}) {
     for (u32 b : {1u, 256u, 8192u}) {
       const i64 lb = lower_bound_2d_reduce_cycles(g, b, kMp);
-      for (const auto& cand : reduce_2d_candidates(g, b, kMp)) {
-        EXPECT_LE(lb, cand.prediction.cycles)
-            << cand.label << " " << g.width << "x" << g.height << " B=" << b;
+      for (const runtime::Candidate& row : fixed_reduce(g, b)) {
+        EXPECT_LE(lb, row.prediction.cycles)
+            << row.desc->name << " " << g.width << "x" << g.height
+            << " B=" << b;
       }
     }
   }

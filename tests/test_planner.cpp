@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "model/costs1d.hpp"
 #include "sim_test_utils.hpp"
 
 namespace wsr::runtime {
@@ -19,13 +24,18 @@ class PlannerFixture : public ::testing::Test {
 };
 Planner* PlannerFixture::planner_ = nullptr;
 
+PlanRequest row(Collective c, u32 p, u32 b, std::string algorithm = "") {
+  return {c, {p, 1}, b, std::move(algorithm)};
+}
+
 TEST_F(PlannerFixture, AutoSelectionNeverWorseThanAnyFixedAlgo) {
   for (u32 p : {4u, 16u, 64u, 128u}) {
     for (u32 b : {1u, 16u, 256u, 4096u}) {
-      const Plan plan = planner_->plan_reduce_1d(p, b);
+      const Plan plan = planner_->plan(row(Collective::Reduce, p, b));
       for (ReduceAlgo a : kFixedReduceAlgos) {
         EXPECT_LE(plan.prediction.cycles,
-                  planner_->predict_reduce_1d(a, p, b).cycles)
+                  planner_->predict(row(Collective::Reduce, p, b, name(a)))
+                      .cycles)
             << "P=" << p << " B=" << b << " vs " << name(a);
       }
     }
@@ -35,14 +45,15 @@ TEST_F(PlannerFixture, AutoSelectionNeverWorseThanAnyFixedAlgo) {
 TEST_F(PlannerFixture, AutoPlansExecuteCorrectly) {
   for (u32 p : {4u, 16u, 64u}) {
     for (u32 b : {1u, 64u, 1024u}) {
-      testing::verify_ok(planner_->plan_reduce_1d(p, b).schedule);
-      testing::verify_ok(planner_->plan_allreduce_1d(p, b).schedule);
+      testing::verify_ok(planner_->plan(row(Collective::Reduce, p, b)).schedule);
+      testing::verify_ok(
+          planner_->plan(row(Collective::AllReduce, p, b)).schedule);
     }
   }
 }
 
 TEST_F(PlannerFixture, ExplicitAlgorithmIsHonored) {
-  const Plan plan = planner_->plan_reduce_1d(32, 64, ReduceAlgo::Star);
+  const Plan plan = planner_->plan(row(Collective::Reduce, 32, 64, "Star"));
   EXPECT_EQ(plan.algorithm, "Star");
   EXPECT_EQ(plan.schedule.name, "reduce-1d-Star");
 }
@@ -50,16 +61,17 @@ TEST_F(PlannerFixture, ExplicitAlgorithmIsHonored) {
 TEST_F(PlannerFixture, SelectionFollowsTheRegimes) {
   // Scalars -> Star; huge vectors -> Chain (Fig. 1 / Section 5.7). For huge
   // B the Auto-Gen tree degenerates to the chain, so either label is valid.
-  EXPECT_EQ(planner_->plan_reduce_1d(128, 1).algorithm, "Star");
-  const std::string huge = planner_->plan_reduce_1d(4, 1u << 15).algorithm;
+  EXPECT_EQ(planner_->plan(row(Collective::Reduce, 128, 1)).algorithm, "Star");
+  const std::string huge =
+      planner_->plan(row(Collective::Reduce, 4, 1u << 15)).algorithm;
   EXPECT_TRUE(huge == "Chain" || huge == "AutoGen") << huge;
 }
 
 TEST_F(PlannerFixture, RingSelectedOnlyInItsBand) {
   // Fig. 8: ring wins for few PEs and very long vectors.
-  const Plan big = planner_->plan_allreduce_1d(4, 1u << 15);
+  const Plan big = planner_->plan(row(Collective::AllReduce, 4, 1u << 15));
   EXPECT_EQ(big.algorithm, "Ring");
-  const Plan small = planner_->plan_allreduce_1d(64, 64);
+  const Plan small = planner_->plan(row(Collective::AllReduce, 64, 64));
   EXPECT_NE(small.algorithm, "Ring");
 }
 
@@ -74,7 +86,9 @@ TEST_F(PlannerFixture, LowerBoundIsBelowEveryModelCost) {
            {ReduceAlgo::Chain, ReduceAlgo::Tree, ReduceAlgo::TwoPhase,
             ReduceAlgo::AutoGen}) {
         EXPECT_LE(lb, static_cast<double>(
-                          planner_->predict_reduce_1d(a, p, b).cycles))
+                          planner_->predict(row(Collective::Reduce, p, b,
+                                                name(a)))
+                              .cycles))
             << name(a) << " p=" << p << " B=" << b;
       }
       EXPECT_LE(lb, static_cast<double>(
@@ -86,23 +100,63 @@ TEST_F(PlannerFixture, LowerBoundIsBelowEveryModelCost) {
 
 TEST_F(PlannerFixture, Plans2D) {
   const GridShape g{16, 16};
-  const Plan r = planner_->plan_reduce_2d(g, 64);
+  const Plan r = planner_->plan({Collective::Reduce, g, 64, ""});
   testing::verify_ok(r.schedule);
-  const Plan a = planner_->plan_allreduce_2d(g, 64);
+  const Plan a = planner_->plan({Collective::AllReduce, g, 64, ""});
   testing::verify_ok(a.schedule);
-  const Plan b = planner_->plan_broadcast_2d(g, 64);
+  const Plan b = planner_->plan({Collective::Broadcast, g, 64, ""});
   testing::verify_ok(b.schedule, /*is_broadcast=*/true);
 }
 
 TEST_F(PlannerFixture, SnakeSelectedForSmallGridHugeVector) {
-  const Plan plan = planner_->plan_reduce_2d({4, 4}, 1u << 14);
+  const Plan plan = planner_->plan({Collective::Reduce, {4, 4}, 1u << 14, ""});
   EXPECT_EQ(plan.algorithm, "Snake");
 }
 
 TEST_F(PlannerFixture, PredictionsConsistentWithPlans) {
-  const Plan plan = planner_->plan_allreduce_1d(64, 256, ReduceAlgo::TwoPhase);
-  EXPECT_EQ(plan.prediction.cycles,
-            planner_->predict_allreduce_1d(ReduceAlgo::TwoPhase, 64, 256).cycles);
+  const PlanRequest req = row(Collective::AllReduce, 64, 256, "TwoPhase+Bcast");
+  EXPECT_EQ(planner_->plan(req).prediction.cycles,
+            planner_->predict(req).cycles);
+}
+
+// plan() selects from exactly the table candidates() returns: the planned
+// prediction is the best row's, for every family, on pristine and degraded
+// machines alike.
+TEST(PlannerTable, PlanPicksTheBestCandidate) {
+  const Planner pristine(64);
+  const Planner degraded =
+      pristine.with_link_overrides({*parse_link_override("1,0,E,4"),
+                                    *parse_link_override("0,1,S,3")});
+  const Collective families[] = {Collective::Broadcast, Collective::Reduce,
+                                 Collective::AllReduce, Collective::AllGather,
+                                 Collective::ReduceScatter};
+  u32 checked = 0;
+  for (const Planner* planner : {&pristine, &degraded}) {
+    for (Collective c : families) {
+      for (GridShape g : {GridShape{2, 1}, GridShape{7, 1}, GridShape{16, 1},
+                          GridShape{64, 1}, GridShape{4, 4}, GridShape{8, 3},
+                          GridShape{1, 5}}) {
+        for (u32 b : {1u, 16u, 48u, 256u, 4096u}) {
+          const std::vector<Candidate> rows = planner->candidates(c, g, b);
+          const Candidate* best = best_candidate(rows);
+          if (best == nullptr) continue;  // e.g. ReduceScatter on 2D grids
+          const Plan plan = planner->plan({c, g, b, ""});
+          EXPECT_EQ(plan.prediction.cycles, best->prediction.cycles)
+              << name(c) << " " << g.width << "x" << g.height << " B=" << b;
+          EXPECT_EQ(plan.prediction.terms, best->prediction.terms);
+          EXPECT_EQ(plan.algorithm,
+                    best->desc->label(g, b, planner->context()));
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 200u);
+  // Anti-vacuity: the throttled links change some priced row.
+  EXPECT_NE(degraded.candidates(Collective::Reduce, {16, 1}, 256)[1]
+                .prediction.cycles,
+            pristine.candidates(Collective::Reduce, {16, 1}, 256)[1]
+                .prediction.cycles);
 }
 
 // A degraded machine's planner reuses its pristine planner's tables and

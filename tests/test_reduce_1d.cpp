@@ -43,7 +43,9 @@ TEST_P(Reduce1D, SimulatorTracksModel) {
   const auto r = runtime::verify_on_fabric(s);
   ASSERT_TRUE(r.ok) << r.error;
   const runtime::Planner planner(128, kMp);
-  const i64 predicted = planner.predict_reduce_1d(algo, p, b).cycles;
+  const i64 predicted =
+      planner.predict({runtime::Collective::Reduce, {p, 1}, b, name(algo)})
+          .cycles;
   // The paper reports 12-35% mean model error against hardware; our simulator
   // idealizes the same way the model does, so we hold it to 20% + a small
   // constant for ramp/boundary conventions.

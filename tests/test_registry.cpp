@@ -1,7 +1,8 @@
-// Tests of the AlgorithmRegistry: introspection invariants, the determinism
-// of best_candidate tie-breaking, schedule construction through descriptors,
-// and — the load-bearing one — parity of the registry-driven planner against
-// the pre-refactor hand-rolled selection tables.
+// Tests of the AlgorithmRegistry: introspection invariants, the selection
+// rule over the planner's candidate table (best_candidate), schedule
+// construction through descriptors, and — the load-bearing one — parity of
+// the registry-driven planner against the pre-refactor hand-rolled selection
+// tables.
 #include "registry/algorithm_registry.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <map>
 
 #include "collectives/midroot.hpp"
+#include "harness.hpp"
 #include "model/costs1d.hpp"
 #include "model/costs2d.hpp"
 #include "runtime/planner.hpp"
@@ -90,7 +92,8 @@ TEST(Registry, EveryApplicableDescriptorBuildsACorrectSchedule) {
   // The all-in-one structural check: every registered algorithm, built
   // through its descriptor on a small shape, must produce a schedule whose
   // simulated results are exact. Color budgets must hold too.
-  const registry::PlanContext ctx = registry::make_context(16);
+  const runtime::Planner planner(16);
+  const registry::PlanContext ctx = planner.context();
   for (const AlgorithmDescriptor* d : AlgorithmRegistry::instance().all()) {
     const GridShape grid = d->dims == Dims::OneD ? GridShape{8, 1}
                                                  : GridShape{4, 4};
@@ -164,7 +167,7 @@ TEST(Registry, SelectionOnIrregularShapesIsDeterministic) {
   // must be the cheaper prediction, not registration order.
   const runtime::Plan rs = planner.plan({Collective::ReduceScatter, {8, 1},
                                          16, ""});
-  const registry::PlanContext ctx = registry::make_context(8);
+  const registry::PlanContext ctx = planner.context();
   const i64 halving = AlgorithmRegistry::instance()
                           .at(Collective::ReduceScatter, Dims::OneD, "Halving")
                           .cost({8, 1}, 16, ctx)
@@ -185,30 +188,42 @@ TEST(Registry, RingApplicabilityRequiresDivisibility) {
   EXPECT_FALSE(ring->applicable({8, 1}, 63));
 }
 
-// --- deterministic tie-breaking ---------------------------------------------
+// --- the selection rule over a candidate table ------------------------------
 
-Candidate make_candidate(std::string label, i64 cycles) {
-  return {std::move(label), Prediction(CostTerms{}, cycles)};
+runtime::Candidate priced_row(i64 cycles) {
+  return {nullptr, true, Prediction(CostTerms{}, cycles)};
 }
+
+runtime::Candidate inapplicable_row() { return {nullptr, false, {}}; }
 
 TEST(BestCandidate, PicksFewestCycles) {
-  const std::vector<Candidate> c = {make_candidate("A", 20),
-                                    make_candidate("B", 10),
-                                    make_candidate("C", 30)};
-  EXPECT_EQ(best_candidate(c), 1u);
+  const std::vector<runtime::Candidate> rows = {priced_row(20), priced_row(10),
+                                                priced_row(30)};
+  EXPECT_EQ(runtime::best_candidate(rows), &rows[1]);
 }
 
-TEST(BestCandidate, BreaksTiesByLabelNotInsertionOrder) {
-  // Two pairs tie; within the winning cycle count the lexicographically
-  // smallest label must win regardless of vector order.
-  const std::vector<Candidate> c = {make_candidate("Zeta", 5),
-                                    make_candidate("Beta", 7),
-                                    make_candidate("Alpha", 5)};
-  EXPECT_EQ(best_candidate(c), 2u);
-  const std::vector<Candidate> reversed = {make_candidate("Alpha", 5),
-                                           make_candidate("Beta", 7),
-                                           make_candidate("Zeta", 5)};
-  EXPECT_EQ(best_candidate(reversed), 0u);
+TEST(BestCandidate, EarlierRowWinsATie) {
+  // Planner::candidates lists rows in name order, so the first of tied rows
+  // is the lexicographically smallest name.
+  const std::vector<runtime::Candidate> rows = {priced_row(7), priced_row(5),
+                                                priced_row(9), priced_row(5)};
+  EXPECT_EQ(runtime::best_candidate(rows), &rows[1]);
+}
+
+TEST(BestCandidate, InapplicableRowNeverWins) {
+  // An unpriced row reads 0 cycles, fewer than any priced one.
+  const std::vector<runtime::Candidate> rows = {inapplicable_row(),
+                                                priced_row(40),
+                                                inapplicable_row()};
+  ASSERT_EQ(rows[0].prediction.cycles, 0);
+  EXPECT_EQ(runtime::best_candidate(rows), &rows[1]);
+}
+
+TEST(BestCandidate, NoApplicableRowReturnsNull) {
+  const std::vector<runtime::Candidate> rows = {inapplicable_row(),
+                                                inapplicable_row()};
+  EXPECT_EQ(runtime::best_candidate(rows), nullptr);
+  EXPECT_EQ(runtime::best_candidate({}), nullptr);
 }
 
 // --- parity with the pre-refactor selection tables --------------------------
@@ -270,7 +285,7 @@ OldChoice old_plan_reduce_2d(const runtime::Planner& p, GridShape g, u32 B) {
                                     : predict_reduce_1d(a, n, B, mp);
   };
   OldChoice c{"Snake", predict_snake_reduce(g, B, mp).cycles};
-  for (ReduceAlgo a : kAllReduceAlgosBase) {
+  for (ReduceAlgo a : kReduceAlgos) {
     const i64 cyc = sequential(r1(a, g.width), r1(a, g.height)).cycles;
     note_tie(c, cyc);
     if (cyc < c.cycles) c = {std::string("X-Y ") + wsr::name(a), cyc};
@@ -326,9 +341,9 @@ TEST_F(RegistryParity, Plan1DMatchesPreRefactorSelection) {
     for (u32 b : {1u, 4u, 16u, 100u, 256u, 1024u, 4096u, 32768u}) {
       const std::string what =
           "P=" + std::to_string(p) + " B=" + std::to_string(b);
-      expect_parity(planner_->plan_reduce_1d(p, b),
+      expect_parity(planner_->plan({Collective::Reduce, {p, 1}, b, ""}),
                     old_plan_reduce_1d(*planner_, p, b), "reduce " + what);
-      expect_parity(planner_->plan_allreduce_1d(p, b),
+      expect_parity(planner_->plan({Collective::AllReduce, {p, 1}, b, ""}),
                     old_plan_allreduce_1d(*planner_, p, b),
                     "allreduce " + what);
     }
@@ -342,50 +357,58 @@ TEST_F(RegistryParity, Plan2DMatchesPreRefactorSelection) {
       const std::string what = std::to_string(g.width) + "x" +
                                std::to_string(g.height) + " B=" +
                                std::to_string(b);
-      expect_parity(planner_->plan_reduce_2d(g, b),
+      expect_parity(planner_->plan({Collective::Reduce, g, b, ""}),
                     old_plan_reduce_2d(*planner_, g, b), "reduce2d " + what);
-      expect_parity(planner_->plan_allreduce_2d(g, b),
+      expect_parity(planner_->plan({Collective::AllReduce, g, b, ""}),
                     old_plan_allreduce_2d(*planner_, g, b),
                     "allreduce2d " + what);
     }
   }
 }
 
-TEST_F(RegistryParity, SelectorTablesMatchDirectPredictions) {
-  // The selector's registry-backed candidate tables must reproduce the
-  // hand-rolled fixed-candidate enumerations they replaced.
-  const MachineParams mp = planner_->machine();
+TEST_F(RegistryParity, CandidateTablesMatchDirectPredictions) {
+  // Every applicable row of the planner's table carries its descriptor's
+  // direct cost (pristine machine: no link-override pricing), rows come in
+  // name order, and an inapplicable row is listed, unpriced.
+  const registry::PlanContext ctx = planner_->context();
+  u32 ring_rows_inapplicable = 0;
   for (u32 p : {4u, 16u, 64u}) {
-    for (u32 b : {1u, 256u, 8192u}) {
-      std::map<std::string, i64> expected;
-      for (ReduceAlgo a : kFixedReduceAlgos) {
-        expected[wsr::name(a)] = predict_reduce_1d(a, p, b, mp).cycles;
-      }
-      const auto got = reduce_1d_candidates(p, b, mp);
-      ASSERT_EQ(got.size(), expected.size());
-      for (const Candidate& c : got) {
-        ASSERT_TRUE(expected.count(c.label)) << c.label;
-        EXPECT_EQ(c.prediction.cycles, expected[c.label]) << c.label;
-      }
-
-      std::map<std::string, i64> expected_ar;
-      for (ReduceAlgo a : kFixedReduceAlgos) {
-        expected_ar[std::string(wsr::name(a)) + "+Bcast"] =
-            predict_reduce_then_broadcast(a, p, b, mp).cycles;
-      }
-      expected_ar["Ring"] = predict_ring_allreduce(p, b, mp).cycles;
-      const auto got_ar = allreduce_1d_candidates(p, b, mp);
-      ASSERT_EQ(got_ar.size(), expected_ar.size());
-      for (const Candidate& c : got_ar) {
-        ASSERT_TRUE(expected_ar.count(c.label)) << c.label;
-        EXPECT_EQ(c.prediction.cycles, expected_ar[c.label]) << c.label;
+    for (u32 b : {1u, 6u, 256u, 8192u}) {
+      for (Collective c : {Collective::Reduce, Collective::AllReduce}) {
+        const auto family =
+            AlgorithmRegistry::instance().query(c, Dims::OneD, true);
+        const std::vector<runtime::Candidate> rows =
+            planner_->candidates(c, {p, 1}, b);
+        ASSERT_EQ(rows.size(), family.size());
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          const runtime::Candidate& row = rows[i];
+          ASSERT_EQ(row.desc, family[i]);
+          EXPECT_EQ(row.applicable, row.desc->applicable({p, 1}, b));
+          if (!row.applicable) continue;
+          EXPECT_EQ(row.prediction.cycles,
+                    row.desc->cost({p, 1}, b, ctx).cycles)
+              << row.desc->name;
+          EXPECT_EQ(row.prediction.terms, row.desc->cost({p, 1}, b, ctx).terms)
+              << row.desc->name;
+        }
+        if (c != Collective::AllReduce) continue;
+        const auto ring = std::find_if(
+            rows.begin(), rows.end(),
+            [](const runtime::Candidate& row) { return row.desc->name == "Ring"; });
+        ASSERT_NE(ring, rows.end()) << "P=" << p << " B=" << b;
+        EXPECT_EQ(ring->applicable, b % p == 0) << "P=" << p << " B=" << b;
+        if (!ring->applicable) {
+          EXPECT_EQ(ring->prediction.cycles, 0);
+          ++ring_rows_inapplicable;
+        }
       }
     }
   }
+  EXPECT_GT(ring_rows_inapplicable, 0u);
 }
 
 TEST_F(RegistryParity, MixedAxisPlanStillReportsPerAxisPair) {
-  const runtime::Plan mixed = planner_->plan_reduce_2d_mixed({128, 8}, 512);
+  const runtime::Plan mixed = bench::plan_mixed_xy(*planner_, {128, 8}, 512);
   // Label format "X-Y <x>/<y>" is part of the descriptor's display contract.
   EXPECT_EQ(mixed.algorithm.rfind("X-Y ", 0), 0u) << mixed.algorithm;
   EXPECT_NE(mixed.algorithm.find('/'), std::string::npos) << mixed.algorithm;

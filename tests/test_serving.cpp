@@ -143,6 +143,36 @@ TEST(ParseRequest, RejectsMalformedLinesInBand) {
       parse_request(
           R"({"collective":"reduce","grid":"32","bytes":4,"algorithm":"X"})")
           .error, "");
+  // Grid extents above runtime::kMaxGridExtent (1024), in both grid forms:
+  // planning them would abort in the Auto-Gen model or exhaust memory.
+  EXPECT_NE(parse_request(R"({"collective":"reduce","grid":"70000","bytes":4})")
+                .error, "");
+  EXPECT_NE(parse_request(R"({"collective":"reduce",)"
+                          R"("grid":{"width":70000,"height":1},"bytes":4})")
+                .error, "");
+  EXPECT_NE(parse_request(
+                R"({"collective":"broadcast","grid":"60000x60000","bytes":4})")
+                .error, "");
+  EXPECT_NE(parse_request(R"({"collective":"reduce","grid":"2x1025","bytes":4})")
+                .error, "");
+  EXPECT_EQ(parse_request(R"({"collective":"reduce","grid":"1024","bytes":4})")
+                .error, "");
+  EXPECT_EQ(parse_request(R"({"collective":"reduce",)"
+                          R"("grid":{"width":1024,"height":1024},"bytes":4})")
+                .error, "");
+  // "tr" is an integer in 0..1024.
+  const auto with_tr = [](const std::string& tr) {
+    return parse_request(R"({"collective":"reduce","grid":"32","bytes":4,"tr":)" +
+                         tr + "}");
+  };
+  for (const char* bad : {"2.7", "-1", "1025", "\"2\"", "true", "null"}) {
+    EXPECT_NE(with_tr(bad).error, "") << "tr=" << bad;
+  }
+  for (u32 good : {0u, 5u, 1024u}) {
+    const Request r = with_tr(std::to_string(good));
+    EXPECT_EQ(r.error, "") << "tr=" << good;
+    EXPECT_EQ(r.mp.ramp_latency, good);
+  }
 }
 
 TEST(ParseRequest, ErrorResponseShape) {

@@ -38,7 +38,9 @@ std::vector<bench::Series> run_sweep(u32 jobs) {
     for (std::size_t i = 0; i < pes.size(); ++i) {
       const u32 p = pes[i];
       runner.cell(&series[ai].points[i], [=, &planner] {
-        const i64 pred = planner.predict_reduce_1d(a, p, B).cycles;
+        const i64 pred =
+            planner.predict({runtime::Collective::Reduce, {p, 1}, B, name(a)})
+                .cycles;
         return bench::Measurement{
             bench::measured_cycles(collectives::make_reduce_1d(a, p, B), pred),
             pred};

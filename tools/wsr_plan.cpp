@@ -6,8 +6,9 @@
 //   wsr_plan --list-algorithms [--json]
 //
 //   collective: reduce | allreduce | broadcast | allgather | reducescatter
-//   grid:       P (a 1D row) or WxH (a 2D grid)
+//   grid:       P (a 1D row) or WxH (a 2D grid); each extent at most 1024
 //   bytes:      per-PE vector size in bytes (4 bytes per f32 wavelet)
+//   --tr=N:     ramp latency T_R, an integer in 0..1024 (default 2)
 //
 // Algorithm names come from the registry (see --list-algorithms); short
 // forms are accepted where unambiguous ("Chain" resolves to "Chain+Bcast"
@@ -133,7 +134,13 @@ int main(int argc, char** argv) {
     } else if (a == "--dump") {
       dump = true;
     } else if (a.rfind("--tr=", 0) == 0) {
-      mp.ramp_latency = static_cast<u32>(std::strtoul(a.c_str() + 5, nullptr, 10));
+      const auto tr = runtime::parse_ramp_latency(a.substr(5));
+      if (!tr.has_value()) {
+        std::fprintf(stderr, "--tr wants an integer ramp latency in 0..%u\n",
+                     runtime::kMaxRampLatency);
+        return 2;
+      }
+      mp.ramp_latency = *tr;
     } else if (a.rfind("--failed-link=", 0) == 0 ||
                a.rfind("--slow-link=", 0) == 0) {
       const bool failed = a[2] == 'f';
@@ -160,8 +167,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const GridShape grid = *parsed_grid;
-  if (grid.num_pes() < 2) {
-    std::fprintf(stderr, "need at least 2 PEs\n");
+  if (const std::string why = runtime::grid_error(grid); !why.empty()) {
+    std::fprintf(stderr, "%s\n", why.c_str());
     return 2;
   }
 

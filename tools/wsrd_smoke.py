@@ -14,10 +14,12 @@ ctest and by the CI docs job):
    from the disk tier ("disk") with bit-identical plan JSON.
 3. The stats verb reports the disk store's load and the expected hit
    counters, and request errors answer {"error": ...} without killing the
-   daemon.
+   daemon, including a grid past the 1024-PE extent bound.
 4. `wsr_plan --simulate` runs both simulators at the planned ramp latency:
    at --tr=2 and --tr=5 the simulated cycle count (FabricSim on a row,
    FlowSim on a grid too large for it) is within 1% of the prediction.
+5. `wsr_plan` exits 2 on a malformed or out-of-range --tr and on a grid
+   past the extent bound, instead of planning or aborting.
 
 Stdlib only (no pip installs); exits non-zero with a diagnostic on the
 first violation.
@@ -82,6 +84,20 @@ def run_cli(wsr_plan, request):
 SIMULATE_CASES = [
     (["reduce", "64", "256", "--algo=Chain"], "fabric sim"),
     (["reduce", "80x80", "256", "--algo=X-Y Chain"], "flow sim"),
+]
+
+
+# wsr_plan arguments that must exit 2: --tr is an integer in 0..1024, and
+# no grid extent may exceed 1024.
+BAD_CLI_CASES = [
+    ["reduce", "64", "256", "--tr=abc"],
+    ["reduce", "64", "256", "--tr=-1"],
+    ["reduce", "64", "256", "--tr=2.7"],
+    ["reduce", "64", "256", "--tr=1025"],
+    ["reduce", "64", "256", "--tr="],
+    ["reduce", "70000", "4"],
+    ["broadcast", "60000x60000", "4"],
+    ["allreduce", "1025x2", "4"],
 ]
 
 
@@ -212,6 +228,24 @@ def main():
         print("ok: empty/garbage/oversized/torn input answered in-band, "
               "daemon stayed up")
 
+        # A grid past the 1024 extent bound, in both grid forms, answers an
+        # in-band error and the next line still plans (planning a 70000-PE
+        # row aborted the daemon).
+        huge = [{"collective": "reduce", "grid": "70000", "bytes": 4,
+                 "id": "huge"},
+                {"collective": "reduce",
+                 "grid": {"width": 70000, "height": 1}, "bytes": 4,
+                 "id": "huge-object"},
+                REQUESTS[0]]
+        responses = run_daemon(wsrd, huge)
+        for req, resp in zip(huge[:2], responses):
+            if "error" not in resp or resp.get("id") != req["id"]:
+                fail("an oversized grid must answer an in-band error", resp)
+        if "error" in responses[2] or responses[2].get("id") != REQUESTS[0]["id"]:
+            fail("a request after an oversized grid must still plan",
+                 responses[2])
+        print("ok: oversized grids answered in-band, the next line planned")
+
         # --- 6. --simulate runs the simulators at the planned T_R ----------
         for args, sim in SIMULATE_CASES:
             for tr in (2, 5):
@@ -230,6 +264,16 @@ def main():
                          f"--tr={tr}", argv, proc.stderr)
         print(f"ok: wsr_plan --simulate matches the prediction at --tr=2 "
               f"and --tr=5 ({len(SIMULATE_CASES)} cases)")
+
+        # --- 7. wsr_plan refuses out-of-range input with exit 2 ------------
+        for args in BAD_CLI_CASES:
+            proc = subprocess.run([wsr_plan] + args, capture_output=True,
+                                  text=True, timeout=300)
+            if proc.returncode != 2:
+                fail(f"wsr_plan must exit 2, exited {proc.returncode}", args,
+                     proc.stderr)
+        print(f"ok: wsr_plan exits 2 on {len(BAD_CLI_CASES)} malformed or "
+              f"out-of-range --tr / grid arguments")
         return 0
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
