@@ -14,6 +14,7 @@ using namespace wsr;
 int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, "abl_mid_root");
   const MachineParams mp;
+  const runtime::Planner planner(512, mp);
   const std::vector<u32> ps = {16, 64, 256, 512};
   const std::vector<u32> bs = {1, 16, 256, 4096};
 
@@ -27,9 +28,12 @@ int main(int argc, char** argv) {
   }
   for (Row& row : rows) {
     const u32 p = row.p, b = row.b;
-    bench.runner().cell(&row.end, [p, b, &mp] {
+    bench.runner().cell(&row.end, [p, b, &planner] {
       const i64 pred =
-          predict_reduce_then_broadcast(ReduceAlgo::Chain, p, b, mp).cycles;
+          planner
+              .predict({runtime::Collective::AllReduce, {p, 1}, b,
+                        "Chain+Bcast"})
+              .cycles;
       return bench::Measurement{
           bench::measured_cycles(
               collectives::make_allreduce_1d(ReduceAlgo::Chain, p, b), pred),

@@ -13,6 +13,7 @@ using namespace wsr;
 int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, "abl_ring_mapping");
   const MachineParams mp;
+  const runtime::Planner planner(64, mp);
 
   struct Row {
     u32 p, b;
@@ -36,11 +37,14 @@ int main(int argc, char** argv) {
               p, b, collectives::RingMapping::DistancePreserving)),
           predict_ring_allreduce(p, b, mp).cycles};
     });
-    bench.runner().cell(&row.chainb, [p, b, &mp] {
+    bench.runner().cell(&row.chainb, [p, b, &planner] {
       return bench::Measurement{
           bench::fabric_cycles(
               collectives::make_allreduce_1d(ReduceAlgo::Chain, p, b)),
-          predict_reduce_then_broadcast(ReduceAlgo::Chain, p, b, mp).cycles};
+          planner
+              .predict({runtime::Collective::AllReduce, {p, 1}, b,
+                        "Chain+Bcast"})
+              .cycles};
     });
   }
   bench.runner().run();

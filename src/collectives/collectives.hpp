@@ -15,12 +15,20 @@
 
 namespace wsr::collectives {
 
+/// Appends the 1D reduce pattern `algo` onto `lane` on colors from `base`
+/// up: the one lane dispatch of every Reduce, +Bcast and X-Y composition.
+/// AutoGen asserts a `model` (the DP tables of the caller's machine);
+/// `two_phase_group` = 0 uses sqrt(P).
+Deps build_reduce(Schedule& s, const Lane& lane, ReduceAlgo algo,
+                  const autogen::AutoGenModel* model, Color base,
+                  const Deps& after, u32 two_phase_group = 0);
+
 // --- 1D (grid = {P, 1}, root = leftmost PE) --------------------------------
 
 Schedule make_broadcast_1d(u32 num_pes, u32 vec_len);
 
-/// `model` is required for ReduceAlgo::AutoGen (it owns the DP tables); a
-/// temporary model is built if omitted. `two_phase_group` = 0 uses sqrt(P).
+/// `model` is required for ReduceAlgo::AutoGen (asserted; it owns the DP
+/// tables). `two_phase_group` = 0 uses sqrt(P).
 Schedule make_reduce_1d(ReduceAlgo algo, u32 num_pes, u32 vec_len,
                         const autogen::AutoGenModel* model = nullptr,
                         u32 two_phase_group = 0);

@@ -1,13 +1,8 @@
-// 1D top-level constructors.
-//
-// Per-algorithm lane construction is NOT dispatched here: each 1D Reduce
-// pattern registers a `build_lane` hook in its AlgorithmRegistry descriptor
-// (src/registry/builtin_algorithms.cpp), and the generic drivers below look
-// the hook up by name. Adding a reduce pattern therefore requires no change
-// to this file — register a descriptor and every composition (plain Reduce,
-// Reduce+Bcast AllReduce, 2D X-Y) picks it up.
+// 1D top-level constructors and build_reduce, the one lane dispatch that
+// every Reduce, Reduce+Bcast AllReduce and 2D X-Y composition (twod.cpp)
+// goes through. Adding a 1D reduce pattern means one ReduceAlgo value plus
+// its case here and in predict_reduce_1d.
 #include "collectives/collectives.hpp"
-#include "registry/algorithm_registry.hpp"
 #include "wse/checks.hpp"
 
 namespace wsr::collectives {
@@ -16,18 +11,33 @@ namespace {
 
 GridShape row_grid(u32 num_pes) { return {num_pes, 1}; }
 
-Deps build_reduce_on_lane(Schedule& s, const Lane& lane, ReduceAlgo algo,
-                          const autogen::AutoGenModel* model,
-                          u32 two_phase_group, Color base, const Deps& after) {
-  const registry::AlgorithmDescriptor* desc =
-      registry::AlgorithmRegistry::instance().find(
-          registry::Collective::Reduce, registry::Dims::OneD, name(algo));
-  WSR_ASSERT(desc != nullptr && desc->build_lane,
-             "no lane builder registered for this reduce algorithm");
-  return desc->build_lane(s, lane, model, two_phase_group, base, after);
-}
-
 }  // namespace
+
+Deps build_reduce(Schedule& s, const Lane& lane, ReduceAlgo algo,
+                  const autogen::AutoGenModel* model, Color base,
+                  const Deps& after, u32 two_phase_group) {
+  switch (algo) {
+    case ReduceAlgo::Star:
+      return build_star_reduce(s, lane, base, after);
+    case ReduceAlgo::Chain:
+      return build_chain_reduce(s, lane, base, base + 1, after);
+    case ReduceAlgo::Tree:
+      return build_tree_reduce(s, lane, base, after);
+    case ReduceAlgo::TwoPhase:
+      return build_two_phase_reduce(
+          s, lane,
+          {base, static_cast<Color>(base + 1), static_cast<Color>(base + 2),
+           static_cast<Color>(base + 3)},
+          two_phase_group, after);
+    case ReduceAlgo::AutoGen:
+      WSR_ASSERT(model != nullptr, "Auto-Gen reduce needs the DP model");
+      return build_autogen_reduce(s, lane, base, base + 1,
+                                  model->build_tree(lane.size(), s.vec_len),
+                                  after);
+  }
+  WSR_ASSERT(false, "unknown reduce algorithm");
+  return {};
+}
 
 Schedule make_broadcast_1d(u32 num_pes, u32 vec_len) {
   Schedule s(row_grid(num_pes), vec_len, "broadcast-1d");
@@ -42,8 +52,8 @@ Schedule make_reduce_1d(ReduceAlgo algo, u32 num_pes, u32 vec_len,
                         u32 two_phase_group) {
   Schedule s(row_grid(num_pes), vec_len,
              std::string("reduce-1d-") + name(algo));
-  build_reduce_on_lane(s, Lane::row(s.grid, 0), algo, model, two_phase_group,
-                       0, no_deps(s));
+  build_reduce(s, Lane::row(s.grid, 0), algo, model, 0, no_deps(s),
+               two_phase_group);
   s.result_pes.push_back(0);
   wse::check_valid(s);
   return s;
@@ -54,8 +64,7 @@ Schedule make_allreduce_1d(ReduceAlgo algo, u32 num_pes, u32 vec_len,
   Schedule s(row_grid(num_pes), vec_len,
              std::string("allreduce-1d-") + name(algo) + "+bcast");
   const Lane lane = Lane::row(s.grid, 0);
-  const Deps reduced =
-      build_reduce_on_lane(s, lane, algo, model, 0, 0, no_deps(s));
+  const Deps reduced = build_reduce(s, lane, algo, model, 0, no_deps(s));
   build_broadcast(s, lane, 4, reduced);
   for (u32 pe = 0; pe < num_pes; ++pe) s.result_pes.push_back(pe);
   wse::check_valid(s);
@@ -69,13 +78,6 @@ Schedule make_ring_allreduce_1d(u32 num_pes, u32 vec_len, RingMapping mapping) {
   for (u32 pe = 0; pe < num_pes; ++pe) s.result_pes.push_back(pe);
   wse::check_valid(s);
   return s;
-}
-
-// Shared with twod.cpp.
-Deps detail_build_reduce_on_lane(Schedule& s, const Lane& lane, ReduceAlgo algo,
-                                 const autogen::AutoGenModel* model, Color base,
-                                 const Deps& after) {
-  return build_reduce_on_lane(s, lane, algo, model, 0, base, after);
 }
 
 }  // namespace wsr::collectives

@@ -7,11 +7,6 @@
 
 namespace wsr::collectives {
 
-// Defined in registry.cpp.
-Deps detail_build_reduce_on_lane(Schedule& s, const Lane& lane, ReduceAlgo algo,
-                                 const autogen::AutoGenModel* model, Color base,
-                                 const Deps& after);
-
 namespace {
 
 constexpr Color kRowBase = 0;
@@ -71,15 +66,15 @@ Deps build_xy_reduce(Schedule& s, ReduceAlgo algo_x, ReduceAlgo algo_y,
   const GridShape g = s.grid;
   Deps done = after;
   for (u32 y = 0; y < g.height; ++y) {
-    const Deps fin = detail_build_reduce_on_lane(s, Lane::row(g, y), algo_x,
-                                                 model, kRowBase, after);
+    const Deps fin =
+        build_reduce(s, Lane::row(g, y), algo_x, model, kRowBase, after);
     for (u32 x = 0; x < g.width; ++x) {
       const u32 pe = g.pe_id(x, y);
       if (fin[pe] >= 0) done[pe] = fin[pe];
     }
   }
-  const Deps col = detail_build_reduce_on_lane(s, Lane::column(g, 0), algo_y,
-                                               model, kColBase, done);
+  const Deps col =
+      build_reduce(s, Lane::column(g, 0), algo_y, model, kColBase, done);
   for (u32 y = 0; y < g.height; ++y) {
     const u32 pe = g.pe_id(0, y);
     if (col[pe] >= 0) done[pe] = col[pe];
@@ -137,8 +132,8 @@ Schedule make_allreduce_2d_xy(ReduceAlgo algo, GridShape grid, u32 vec_len,
   Deps done = no_deps(s);
   for (u32 y = 0; y < grid.height; ++y) {
     const Lane row = Lane::row(grid, y);
-    const Deps reduced = detail_build_reduce_on_lane(s, row, algo, model,
-                                                     kRowBase, no_deps(s));
+    const Deps reduced =
+        build_reduce(s, row, algo, model, kRowBase, no_deps(s));
     const Deps bcast = build_broadcast(s, row, kRowBase + 4, reduced);
     for (u32 x = 0; x < grid.width; ++x) {
       const u32 pe = grid.pe_id(x, y);
@@ -148,8 +143,7 @@ Schedule make_allreduce_2d_xy(ReduceAlgo algo, GridShape grid, u32 vec_len,
   // Column AllReduce on every column.
   for (u32 x = 0; x < grid.width; ++x) {
     const Lane col = Lane::column(grid, x);
-    const Deps reduced =
-        detail_build_reduce_on_lane(s, col, algo, model, kColBase, done);
+    const Deps reduced = build_reduce(s, col, algo, model, kColBase, done);
     build_broadcast(s, col, kColBase + 4, reduced);
   }
   for (u32 pe = 0; pe < grid.num_pes(); ++pe) s.result_pes.push_back(pe);

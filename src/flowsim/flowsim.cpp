@@ -115,8 +115,7 @@ class Engine {
   Engine(const Schedule& s, FlowOptions opt)
       : s_(s),
         opt_(std::move(opt)),
-        layout_(s, FabricLayout::Options{.strict = true,
-                                         .register_tables = false}) {
+        layout_(s, FabricLayout::Options{.register_tables = false}) {
     const u32 n = layout_.num_pes();
     const std::size_t total_ops = layout_.total_ops();
     const std::size_t total_colors = layout_.total_colors();

@@ -152,12 +152,6 @@ Prediction predict_reduce_1d(ReduceAlgo algo, u32 num_pes, u32 vec_len,
   return {};
 }
 
-Prediction predict_reduce_then_broadcast(ReduceAlgo reduce_algo, u32 num_pes,
-                                         u32 vec_len, const MachineParams& mp) {
-  return sequential(predict_reduce_1d(reduce_algo, num_pes, vec_len, mp),
-                    predict_broadcast_1d(num_pes, vec_len, mp));
-}
-
 Prediction predict_ring_allreduce(u32 num_pes, u32 vec_len,
                                   const MachineParams& mp) {
   WSR_ASSERT(num_pes >= 2 && vec_len >= 1, "ring needs P >= 2, B >= 1");

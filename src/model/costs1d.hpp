@@ -61,10 +61,8 @@ Prediction predict_reduce_1d(ReduceAlgo algo, u32 num_pes, u32 vec_len,
                              const MachineParams& mp);
 
 // --- AllReduce patterns (Section 6) ----------------------------------------
-
-/// Reduce-then-Broadcast: T = T_reduce + T_bcast (Section 6.1).
-Prediction predict_reduce_then_broadcast(ReduceAlgo reduce_algo, u32 num_pes,
-                                         u32 vec_len, const MachineParams& mp);
+// Reduce-then-Broadcast (Section 6.1) is priced by the registry's
+// "<algo>+Bcast" descriptors as predict_reduce_1d + predict_broadcast_1d.
 
 /// Lemma 6.1: T = 2(P-1) ceil(B/P) + 4P - 6 + 2(P-1)(2*T_R+1). Both the
 /// simple and the distance-preserving ring mapping have this predicted cost.

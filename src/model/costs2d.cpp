@@ -21,30 +21,11 @@ Prediction predict_broadcast_2d(GridShape grid, u32 vec_len,
   return Prediction(t, mp);
 }
 
-Prediction predict_xy_reduce(ReduceAlgo algo_x, ReduceAlgo algo_y, GridShape grid,
-                             u32 vec_len, const MachineParams& mp) {
-  WSR_ASSERT(grid.width >= 2 && grid.height >= 2,
-             "xy reduce needs a 2D grid; use the 1D predictions for rows");
-  const Prediction row = predict_reduce_1d(algo_x, grid.width, vec_len, mp);
-  const Prediction col = predict_reduce_1d(algo_y, grid.height, vec_len, mp);
-  return sequential(row, col);
-}
-
 Prediction predict_snake_reduce(GridShape grid, u32 vec_len,
                                 const MachineParams& mp) {
   const u64 pes = grid.num_pes();
   WSR_ASSERT(pes >= 2, "snake needs >= 2 PEs");
   return predict_chain_reduce(static_cast<u32>(pes), vec_len, mp);
-}
-
-Prediction predict_xy_allreduce(ReduceAlgo algo, GridShape grid, u32 vec_len,
-                                const MachineParams& mp) {
-  WSR_ASSERT(grid.width >= 2 && grid.height >= 2, "xy allreduce needs a 2D grid");
-  const Prediction row =
-      predict_reduce_then_broadcast(algo, grid.width, vec_len, mp);
-  const Prediction col =
-      predict_reduce_then_broadcast(algo, grid.height, vec_len, mp);
-  return sequential(row, col);
 }
 
 Prediction predict_xy_ring_allreduce(GridShape grid, u32 vec_len,

@@ -2,11 +2,12 @@
 //
 // Grid convention: `M` rows by `N` columns (paper: M x N = P). The reduction
 // root is PE (0, 0), the top-left corner. X-Y patterns reduce along every
-// row towards column 0, then along column 0 towards the root.
+// row towards column 0, then along column 0 towards the root; their cost is
+// the sum of the two axes' 1D predictions, composed once, in the registry's
+// "X-Y <algo>" descriptors (registry/builtin_algorithms.cpp).
 #pragma once
 
 #include "common/grid.hpp"
-#include "model/algorithms.hpp"
 #include "model/costs1d.hpp"
 
 namespace wsr {
@@ -15,22 +16,9 @@ namespace wsr {
 /// T = B + M + N - 2 + 2*T_R + 1.
 Prediction predict_broadcast_2d(GridShape grid, u32 vec_len, const MachineParams& mp);
 
-/// Section 7.2: X-Y Reduce = 1D reduce over each row (length N) followed by a
-/// 1D reduce over the root column (length M). Separate per-axis patterns are
-/// allowed; the paper's "X-Y <Algo>" uses the same pattern on both axes.
-Prediction predict_xy_reduce(ReduceAlgo algo_x, ReduceAlgo algo_y, GridShape grid,
-                             u32 vec_len, const MachineParams& mp);
-
 /// Section 7.3: Snake Reduce = chain over a boustrophedon traversal of the
 /// whole grid; cost equals the 1D chain on M*N PEs.
 Prediction predict_snake_reduce(GridShape grid, u32 vec_len, const MachineParams& mp);
-
-/// Section 7.4, first variant: AllReduce per row then per column.
-/// Each axis uses Reduce-then-Broadcast with the given pattern. (The second
-/// variant, Snake Reduce then 2D Broadcast, is the registry's Snake+Bcast
-/// descriptor.)
-Prediction predict_xy_allreduce(ReduceAlgo algo, GridShape grid, u32 vec_len,
-                                const MachineParams& mp);
 
 /// X-Y AllReduce built from the Ring AllReduce per axis (Fig. 13b's
 /// "X-Y Ring" series).

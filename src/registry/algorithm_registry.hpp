@@ -12,14 +12,9 @@
 //
 // Layering (see DESIGN.md §1/§6): the registry sits above model/, autogen/
 // and collectives/ (its builtin descriptors call into all three) and below
-// runtime/, which owns the PlanContext's Auto-Gen model. One deliberate
-// back-edge exists: collectives' generic drivers (make_reduce_1d and the
-// X-Y compositions) resolve per-pattern lane construction through
-// `build_lane` lookups here, so the enum-addressed public constructors keep
-// working while the per-algorithm knowledge lives in exactly one place. That
-// forms a cycle *within* the single library, which is fine at link time;
-// header-wise the graph stays acyclic (collectives headers never include
-// this one).
+// runtime/, which owns the PlanContext's Auto-Gen model. Nothing below it
+// calls back up: collectives compose their lanes through
+// collectives::build_reduce, and tools/check_layers.py pins the rule.
 #pragma once
 
 #include <functional>
@@ -28,10 +23,10 @@
 #include <string_view>
 #include <vector>
 
-#include "collectives/builder.hpp"
 #include "common/grid.hpp"
 #include "model/cost.hpp"
 #include "model/params.hpp"
+#include "wse/schedule.hpp"
 
 namespace wsr::autogen {
 class AutoGenModel;
@@ -64,16 +59,6 @@ struct PlanContext {
   MachineParams mp;
   std::function<const autogen::AutoGenModel&()> autogen;
 };
-
-/// Lane-level reduce builder: appends the pattern onto an existing lane of a
-/// (possibly larger) schedule. This is what the 2D X-Y compositions and the
-/// Reduce+Broadcast fusions compose; only 1D Reduce descriptors provide it.
-/// `model` may be null (builders fall back to a temporary DP model),
-/// `two_phase_group` is 0 except for explicit Two-Phase group-size overrides.
-using LaneReduceBuilder = std::function<collectives::Deps(
-    wse::Schedule& s, const collectives::Lane& lane,
-    const autogen::AutoGenModel* model, u32 two_phase_group, wse::Color base,
-    const collectives::Deps& after)>;
 
 /// One registered algorithm. `name` is the stable identity within a
 /// (collective, dims) family and doubles as the label shown in figures,
@@ -129,9 +114,6 @@ struct AlgorithmDescriptor {
   /// input-dependent (X-Y Mixed reports the chosen per-axis pair, e.g.
   /// "X-Y TwoPhase/Star"). Defaults to `name`.
   std::function<std::string(GridShape, u32, const PlanContext&)> display_label;
-
-  /// Lane-level builder (1D Reduce descriptors only); see LaneReduceBuilder.
-  LaneReduceBuilder build_lane;
 
   /// Label for the plan this descriptor produces on (grid, vec_len).
   std::string label(GridShape grid, u32 vec_len, const PlanContext& ctx) const {

@@ -7,8 +7,7 @@
 // This file is the ONLY place that knows the full algorithm list. The
 // per-algorithm `if` below (fixed predict vs. DP model) is the registry's
 // internal plumbing; everything above it — the planner's candidate table,
-// collectives dispatch, figures, CLI — is a registry query.
-#include <mutex>
+// figures, CLI — is a registry query.
 #include <utility>
 
 #include "collectives/collectives.hpp"
@@ -21,9 +20,6 @@
 namespace wsr::registry {
 
 namespace {
-
-using collectives::Deps;
-using collectives::Lane;
 
 /// 1D Reduce prediction with unified fixed/Auto-Gen dispatch.
 Prediction reduce_1d_cost(ReduceAlgo algo, u32 num_pes, u32 vec_len,
@@ -73,56 +69,6 @@ u32 reduce_1d_colors(ReduceAlgo algo) {
   return 4;
 }
 
-/// The lane-level builder for one reduce pattern: the per-algorithm phase
-/// construction that 2D X-Y compositions and AllReduce fusions compose.
-LaneReduceBuilder lane_builder(ReduceAlgo algo) {
-  switch (algo) {
-    case ReduceAlgo::Star:
-      return [](wse::Schedule& s, const Lane& lane, const autogen::AutoGenModel*,
-                u32, wse::Color base, const Deps& after) {
-        return collectives::build_star_reduce(s, lane, base, after);
-      };
-    case ReduceAlgo::Chain:
-      return [](wse::Schedule& s, const Lane& lane, const autogen::AutoGenModel*,
-                u32, wse::Color base, const Deps& after) {
-        return collectives::build_chain_reduce(s, lane, base, base + 1, after);
-      };
-    case ReduceAlgo::Tree:
-      return [](wse::Schedule& s, const Lane& lane, const autogen::AutoGenModel*,
-                u32, wse::Color base, const Deps& after) {
-        return collectives::build_tree_reduce(s, lane, base, after);
-      };
-    case ReduceAlgo::TwoPhase:
-      return [](wse::Schedule& s, const Lane& lane, const autogen::AutoGenModel*,
-                u32 two_phase_group, wse::Color base, const Deps& after) {
-        return collectives::build_two_phase_reduce(
-            s, lane,
-            {base, static_cast<wse::Color>(base + 1),
-             static_cast<wse::Color>(base + 2),
-             static_cast<wse::Color>(base + 3)},
-            two_phase_group, after);
-      };
-    case ReduceAlgo::AutoGen:
-      return [](wse::Schedule& s, const Lane& lane,
-                const autogen::AutoGenModel* model, u32, wse::Color base,
-                const Deps& after) {
-        autogen::ReduceTree tree;
-        if (model != nullptr) {
-          WSR_ASSERT(lane.size() <= model->max_pes(),
-                     "AutoGenModel too small for this lane");
-          tree = model->build_tree(lane.size(), s.vec_len);
-        } else {
-          const autogen::AutoGenModel local(lane.size());
-          tree = local.build_tree(lane.size(), s.vec_len);
-        }
-        return collectives::build_autogen_reduce(s, lane, base, base + 1, tree,
-                                                 after);
-      };
-  }
-  WSR_ASSERT(false, "unknown reduce algorithm");
-  return {};
-}
-
 /// The best per-axis pattern pair for the mixed-axis X-Y Reduce extension.
 /// Iteration order (Star, Chain, Tree, TwoPhase, AutoGen; x-major) with a
 /// strict comparison pins the historical first-minimum tie-break.
@@ -143,38 +89,6 @@ std::pair<ReduceAlgo, ReduceAlgo> best_mixed_pair(GridShape grid, u32 vec_len,
     }
   }
   return {bx, by};
-}
-
-/// One planned request calls the mixed descriptor's cost, build and
-/// display_label hooks in turn; memoize the pair sweep so it runs once per
-/// (grid, vec_len, machine) instead of once per hook. Thread-safe.
-struct MixedPairMemo {
-  std::mutex mu;
-  bool valid = false;
-  GridShape grid;
-  u32 vec_len = 0;
-  MachineParams mp;
-  std::pair<ReduceAlgo, ReduceAlgo> pair;
-};
-
-std::pair<ReduceAlgo, ReduceAlgo> best_mixed_pair_cached(
-    const std::shared_ptr<MixedPairMemo>& memo, GridShape grid, u32 vec_len,
-    const PlanContext& ctx) {
-  {
-    std::lock_guard<std::mutex> lock(memo->mu);
-    if (memo->valid && memo->grid == grid && memo->vec_len == vec_len &&
-        memo->mp == ctx.mp) {
-      return memo->pair;
-    }
-  }
-  const auto pair = best_mixed_pair(grid, vec_len, ctx);
-  std::lock_guard<std::mutex> lock(memo->mu);
-  memo->valid = true;
-  memo->grid = grid;
-  memo->vec_len = vec_len;
-  memo->mp = ctx.mp;
-  memo->pair = pair;
-  return pair;
 }
 
 void register_1d(AlgorithmRegistry& reg) {
@@ -214,7 +128,6 @@ void register_1d(AlgorithmRegistry& reg) {
               return collectives::make_reduce_1d(algo, g.width, b,
                                                  model_for(algo, ctx));
             },
-        .build_lane = lane_builder(algo),
     };
     if (algo == ReduceAlgo::Star) {
       // Fig. 1 compares against the model-level lower bound, where Star's
@@ -450,9 +363,8 @@ void register_2d(AlgorithmRegistry& reg) {
 
   // --- Mixed-axis X-Y Reduce (extension): cost/build internally optimize
   // over per-axis pattern pairs, so one descriptor covers the whole family.
-  // The three hooks share a memo: planning one request evaluates the pair
-  // sweep once, not once per hook.
-  const auto mixed_memo = std::make_shared<MixedPairMemo>();
+  // Each hook runs the pair sweep itself (30 per-axis predictions): the
+  // descriptor is not auto-selectable, so only explicit requests pay it.
   reg.register_algorithm({
       .name = "X-Y Mixed",
       .collective = Collective::Reduce,
@@ -461,14 +373,14 @@ void register_2d(AlgorithmRegistry& reg) {
       .auto_selectable = false,
       .applicable = [](GridShape g, u32) { return is_2d(g); },
       .cost =
-          [mixed_memo](GridShape g, u32 b, const PlanContext& ctx) {
-            const auto [ax, ay] = best_mixed_pair_cached(mixed_memo, g, b, ctx);
+          [](GridShape g, u32 b, const PlanContext& ctx) {
+            const auto [ax, ay] = best_mixed_pair(g, b, ctx);
             return sequential(reduce_1d_cost(ax, g.width, b, ctx),
                               reduce_1d_cost(ay, g.height, b, ctx));
           },
       .build =
-          [mixed_memo](GridShape g, u32 b, const PlanContext& ctx) {
-            const auto [ax, ay] = best_mixed_pair_cached(mixed_memo, g, b, ctx);
+          [](GridShape g, u32 b, const PlanContext& ctx) {
+            const auto [ax, ay] = best_mixed_pair(g, b, ctx);
             const autogen::AutoGenModel* model =
                 (ax == ReduceAlgo::AutoGen || ay == ReduceAlgo::AutoGen)
                     ? &ctx.autogen()
@@ -476,8 +388,8 @@ void register_2d(AlgorithmRegistry& reg) {
             return collectives::make_reduce_2d_xy_mixed(ax, ay, g, b, model);
           },
       .display_label =
-          [mixed_memo](GridShape g, u32 b, const PlanContext& ctx) {
-            const auto [ax, ay] = best_mixed_pair_cached(mixed_memo, g, b, ctx);
+          [](GridShape g, u32 b, const PlanContext& ctx) {
+            const auto [ax, ay] = best_mixed_pair(g, b, ctx);
             return std::string("X-Y ") + wsr::name(ax) + "/" + wsr::name(ay);
           },
   });

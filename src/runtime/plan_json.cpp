@@ -12,16 +12,17 @@ namespace wsr::runtime {
 
 namespace {
 
-/// Decimal digits only (no sign, no spaces), fitting in a u32.
-std::optional<u32> parse_u32(const std::string& text) {
+/// Decimal digits only (no sign, no spaces), at most `max`.
+std::optional<u64> parse_digits(const std::string& text, u64 max) {
   if (text.empty()) return std::nullopt;
   u64 v = 0;
   for (char c : text) {
     if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<u64>(c - '0');
-    if (v > 0xffffffffull) return std::nullopt;
+    const u64 d = static_cast<u64>(c - '0');
+    if (v > (max - d) / 10) return std::nullopt;
+    v = v * 10 + d;
   }
-  return static_cast<u32>(v);
+  return v;
 }
 
 std::string fmt(const char* format, double v) {
@@ -96,20 +97,15 @@ std::string plan_cache_counters_json(const PlanCache& cache) {
 }
 
 std::optional<GridShape> parse_grid(const std::string& text) {
-  GridShape grid;
-  const auto x = text.find('x');
-  if (x == std::string::npos) {
-    const auto w = parse_u32(text);
-    if (!w.has_value()) return std::nullopt;
-    grid = {*w, 1};
-  } else {
-    const auto w = parse_u32(text.substr(0, x));
-    const auto h = parse_u32(text.substr(x + 1));
-    if (!w.has_value() || !h.has_value()) return std::nullopt;
-    grid = {*w, *h};
+  const auto x = text.find('x');  // "512" is the row 512x1
+  const auto w = parse_digits(text.substr(0, x), UINT32_MAX);
+  const auto h = x == std::string::npos
+                     ? std::optional<u64>(1)
+                     : parse_digits(text.substr(x + 1), UINT32_MAX);
+  if (!w.has_value() || !h.has_value() || *w == 0 || *h == 0) {
+    return std::nullopt;
   }
-  if (grid.width == 0 || grid.height == 0) return std::nullopt;
-  return grid;
+  return GridShape{static_cast<u32>(*w), static_cast<u32>(*h)};
 }
 
 std::string grid_error(GridShape grid) {
@@ -121,10 +117,23 @@ std::string grid_error(GridShape grid) {
   return "";
 }
 
+std::optional<u32> vec_len_for_bytes(u64 bytes) {
+  if (bytes == 0 || bytes % 4 != 0 || bytes / 4 > 0xffffffffull) {
+    return std::nullopt;
+  }
+  return static_cast<u32>(bytes / 4);
+}
+
+std::optional<u32> parse_bytes(const std::string& text) {
+  const auto bytes = parse_digits(text, UINT64_MAX);
+  if (!bytes.has_value()) return std::nullopt;
+  return vec_len_for_bytes(*bytes);
+}
+
 std::optional<u32> parse_ramp_latency(const std::string& text) {
-  const auto tr = parse_u32(text);
-  if (!tr.has_value() || *tr > kMaxRampLatency) return std::nullopt;
-  return tr;
+  const auto tr = parse_digits(text, kMaxRampLatency);
+  if (!tr.has_value()) return std::nullopt;
+  return static_cast<u32>(*tr);
 }
 
 std::string resolve_algorithm_name(registry::Collective c, registry::Dims dims,

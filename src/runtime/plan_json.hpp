@@ -3,7 +3,7 @@
 // CI smoke test diffs them; docs/serving.md documents the schema).
 //
 // Also home to the request-side helpers both front ends share: grid parsing
-// ("512" / "64x64") and bounds, ramp-latency parsing, and registry
+// ("512" / "64x64") and bounds, byte counts, ramp-latency parsing, and registry
 // algorithm-name resolution with the CLI's short forms ("Chain" ->
 // "Chain+Bcast" / "X-Y Chain" depending on family).
 #pragma once
@@ -52,6 +52,13 @@ inline constexpr u32 kMaxGridExtent = 1024;
 /// Why a front end refuses to plan `grid` (fewer than 2 PEs, or an extent
 /// above kMaxGridExtent); empty when it can be planned.
 std::string grid_error(GridShape grid);
+
+/// The vector length a per-PE byte count asks for: `bytes` must be a
+/// positive multiple of 4 with bytes / 4 <= 2^32 - 1; nullopt otherwise.
+std::optional<u32> vec_len_for_bytes(u64 bytes);
+
+/// Parses a per-PE byte count: decimal digits only, then vec_len_for_bytes.
+std::optional<u32> parse_bytes(const std::string& text);
 
 /// The largest ramp latency T_R a front end accepts.
 inline constexpr u32 kMaxRampLatency = 1024;

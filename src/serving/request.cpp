@@ -161,11 +161,12 @@ Request parse_request(const std::string& text) {
     return line;
   }
   if (bytes.has_value()) {
-    if (*bytes == 0 || *bytes % 4 != 0 || *bytes / 4 > 0xffffffffull) {
+    const auto words = runtime::vec_len_for_bytes(*bytes);
+    if (!words.has_value()) {
       line.error = "\"bytes\" must be a positive multiple of 4";
       return line;
     }
-    line.req.vec_len = static_cast<u32>(*bytes / 4);
+    line.req.vec_len = *words;
   } else {
     if (*vec_len == 0 || *vec_len > 0xffffffffull) {
       line.error = "\"vec_len\" must be a positive wavelet count";

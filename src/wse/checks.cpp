@@ -66,9 +66,17 @@ std::vector<std::string> validate(const Schedule& s) {
     problems.push_back("program/rule arrays do not match the grid size");
     return problems;
   }
-  if (s.colors_used() > 24) {
-    problems.push_back("schedule uses more than 24 colors");
+  if (s.colors_used() > kNumColors) {
+    problems.push_back("schedule uses more than " + std::to_string(kNumColors) +
+                       " colors");
   }
+  // A color id the machine lacks; both simulators abort on ids >= 32.
+  const auto check_color = [&](u32 pe, Color c) {
+    if (c >= kNumColors) {
+      problem(pe, "color " + std::to_string(c) + " is not one of the machine's " +
+                      std::to_string(kNumColors));
+    }
+  };
   if (s.mem_words != 0 && s.mem_words < s.vec_len) {
     problems.push_back("mem_words smaller than vec_len");
   }
@@ -79,8 +87,7 @@ std::vector<std::string> validate(const Schedule& s) {
   // with, so a boundary the validator accepts is a boundary the simulators
   // will accept. Interning is skipped (validate() never reads the key
   // spaces, and must not assert on schedules the simulators would reject).
-  const FabricLayout layout(
-      s, FabricLayout::Options{.strict = false, .interning = false});
+  const FabricLayout layout(s, FabricLayout::Options{.interning = false});
 
   // Per-color tallies as Color-indexed arrays with a touched list (reset
   // between PEs) — per-PE std::map nodes were the validator's hottest
@@ -105,6 +112,7 @@ std::vector<std::string> validate(const Schedule& s) {
     touched.clear();
     // --- routing rules ---
     for (const RouteRule& r : s.rules[pe]) {
+      check_color(pe, r.color);
       if (r.count == 0) problem(pe, "rule with count == 0");
       if (r.forward == 0) problem(pe, "rule with empty forward set");
       if (mask_has(r.forward, r.accept) && r.accept != Dir::Ramp)
@@ -150,11 +158,13 @@ std::vector<std::string> validate(const Schedule& s) {
           problem(pe, "op writes past the schedule's memory footprint");
       }
       if (op.kind != OpKind::Recv) {
+        check_color(pe, op.out_color);
         sent[op.out_color] += op.len;
         sent_any[op.out_color] = true;
         touch(op.out_color);
       }
       if (op.kind != OpKind::Send) {
+        check_color(pe, op.in_color);
         received[op.in_color] += op.len;
         received_any[op.in_color] = true;
         touch(op.in_color);

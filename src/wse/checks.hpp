@@ -24,7 +24,8 @@ namespace wsr::wse {
 ///   * per-PE, the total wavelets each color's rules accept from the ramp
 ///     matches what the PE program sends on that color (and the mirror
 ///     condition for ramp-bound forwards vs receives),
-///   * the number of distinct colors fits the machine (24).
+///   * every rule and op color is one of the machine's ids (0..23), and
+///     the number of distinct colors fits the machine (24).
 std::vector<std::string> validate(const Schedule& s);
 
 /// Asserts that validate() found no problems (test/bench convenience).

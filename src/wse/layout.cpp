@@ -5,7 +5,6 @@ namespace wsr::wse {
 FabricLayout::FabricLayout(const Schedule& s) : FabricLayout(s, Options{}) {}
 
 FabricLayout::FabricLayout(const Schedule& s, Options opt) : grid_(s.grid) {
-  const bool strict = opt.strict;
   const u64 n64 = grid_.num_pes();
   num_pes_ = static_cast<u32>(n64);
   WSR_ASSERT(s.programs.size() == n64 && s.rules.size() == n64,
@@ -41,11 +40,7 @@ FabricLayout::FabricLayout(const Schedule& s, Options opt) : grid_(s.grid) {
     i8* index = &color_index_[std::size_t{pe} * kMaxColorId];
     u32 pe_colors = 0;
     auto intern = [&](Color c) {
-      if (c >= kMaxColorId) {
-        WSR_ASSERT(!strict, "color id too large");
-        colors_in_range_ = false;
-        return;
-      }
+      WSR_ASSERT(c < kMaxColorId, "color id too large");
       if (index[c] < 0) {
         index[c] = static_cast<i8>(pe_colors++);
         color_ids_.push_back(c);
@@ -88,7 +83,6 @@ FabricLayout::FabricLayout(const Schedule& s, Options opt) : grid_(s.grid) {
   rule_off_.assign(colors + 1, 0);
   for (u32 pe = 0; pe < num_pes_; ++pe) {
     for (const RouteRule& r : s.rules[pe]) {
-      if (r.color >= kMaxColorId) continue;  // lenient mode only
       const i8 ci = compact_color(pe, r.color);
       ++rule_off_[color_key(pe, static_cast<u32>(ci)) + 1];
     }
@@ -99,7 +93,6 @@ FabricLayout::FabricLayout(const Schedule& s, Options opt) : grid_(s.grid) {
     std::vector<std::size_t> fill(rule_off_.begin(), rule_off_.end() - 1);
     for (u32 pe = 0; pe < num_pes_; ++pe) {
       for (const RouteRule& r : s.rules[pe]) {
-        if (r.color >= kMaxColorId) continue;
         const i8 ci = compact_color(pe, r.color);
         rules_[fill[color_key(pe, static_cast<u32>(ci))]++] = r;
       }

@@ -39,18 +39,14 @@ namespace wsr::wse {
 
 class FabricLayout {
  public:
-  /// Colors are u8 on the wire but the CS-2 has 24; both simulators reject
-  /// anything >= 32 so the per-PE interning table stays one cache line.
+  /// Colors are u8 on the wire but the CS-2 has 24; interning asserts every
+  /// id is below 32 so the per-PE table stays one cache line (validate(),
+  /// which interns nothing, reports ids >= 24 instead).
   static constexpr u32 kMaxColorId = 32;
   /// neighbor() result for an off-grid direction (and for Ramp).
   static constexpr u32 kNoNeighbor = UINT32_MAX;
 
   struct Options {
-    /// Assert every color id is < kMaxColorId (what the simulators want).
-    /// With strict == false out-of-range colors are skipped and reported
-    /// via colors_in_range(), which is what lets the schedule validator
-    /// reuse the layout on arbitrary (possibly broken) schedules.
-    bool strict = true;
     /// Build the per-register inverse tables (pe_of_reg / reg_dir / reg_ci /
     /// reg_color_key). FabricSim's resolve path needs them to turn a global
     /// register key back into its coordinates without division; FlowSim has
@@ -72,7 +68,6 @@ class FabricLayout {
 
   const GridShape& grid() const { return grid_; }
   u32 num_pes() const { return num_pes_; }
-  bool colors_in_range() const { return colors_in_range_; }
 
   // --- colors ----------------------------------------------------------------
 
@@ -152,7 +147,6 @@ class FabricLayout {
  private:
   GridShape grid_;
   u32 num_pes_ = 0;
-  bool colors_in_range_ = true;
 
   std::vector<i8> color_index_;          // [pe * kMaxColorId + color]
   std::vector<std::size_t> color_base_;  // [num_pes + 1]

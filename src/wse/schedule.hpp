@@ -27,6 +27,9 @@ namespace wsr::wse {
 /// Router color (the CS-2 has 24).
 using Color = u8;
 
+/// Router colors the machine provides: valid ids are 0 .. kNumColors - 1.
+inline constexpr u32 kNumColors = 24;
+
 /// One routing configuration for one color at one router. While active, the
 /// router accepts wavelets of `color` from direction `accept` and forwards a
 /// copy into every direction of `forward` (multicast is free). After

@@ -182,10 +182,17 @@ TEST(Shape2DDeath, XYBuildersRejectDegenerateColumnsAndRows) {
                  "needs a 2D grid");
     EXPECT_DEATH(collectives::make_allreduce_2d_xy_ring(g, 4),
                  "needs a 2D grid");
-    EXPECT_DEATH(predict_xy_reduce(ReduceAlgo::Chain, ReduceAlgo::Chain, g, 8,
-                                   kMp),
-                 "needs a 2D grid");
+    // A Wx1 row is priced in the 1D family, which has no X-Y descriptor; a
+    // 1xH column is 2D, where X-Y does not apply.
+    EXPECT_DEATH(runtime::Planner(8, kMp).predict(
+                     {runtime::Collective::Reduce, g, 8, "X-Y Chain"}),
+                 "not applicable|unknown algorithm");
   }
+}
+
+TEST(Shape2DDeath, XYAutoGenNeedsTheCallersModel) {
+  EXPECT_DEATH(collectives::make_reduce_2d_xy(ReduceAlgo::AutoGen, {4, 4}, 8),
+               "needs the DP model");
 }
 
 TEST(Shape2D, NonXYBuildersAcceptDegenerateShapes) {

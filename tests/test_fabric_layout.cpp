@@ -174,29 +174,19 @@ TEST(FabricLayout, RuleChainsPreserveActivationOrder) {
   }
 }
 
-TEST(FabricLayout, LenientModeReportsOutOfRangeColors) {
+TEST(FabricLayout, OutOfRangeColorIdAborts) {
   Schedule s({2, 1}, 4, "bad-color");
   s.program(0).add(Op::send(40, 4));  // color 40 >= kMaxColorId
   s.add_rule(0u, {40, Dir::Ramp, dir_bit(Dir::East), 4});
-  const FabricLayout lenient(
-      s, FabricLayout::Options{.strict = false, .register_tables = false});
-  EXPECT_FALSE(lenient.colors_in_range());
-  // The offending color is simply not interned; the rest of the layout
-  // (geometry, extents) stays usable — which is what the validator needs.
-  EXPECT_EQ(lenient.num_colors(0), 0u);
-  EXPECT_EQ(lenient.neighbor(0, Dir::East), 1u);
-
-  Schedule ok = collectives::make_reduce_1d(ReduceAlgo::Chain, 4, 8);
-  const FabricLayout strict_ok(ok);
-  EXPECT_TRUE(strict_ok.colors_in_range());
-  // Strict mode (the simulators' default) aborts on the same schedule.
-  EXPECT_DEATH({ FabricLayout strict(s); }, "color id too large");
+  // Interning (both simulators' layouts) aborts; validate() reports the
+  // id instead (Checks.ColorIdsTheMachineLacksDetected).
+  EXPECT_DEATH({ FabricLayout layout(s); }, "color id too large");
 }
 
 TEST(FabricLayout, RegisterTablesAreOptional) {
   const Schedule s = collectives::make_reduce_1d(ReduceAlgo::Tree, 8, 4);
   const FabricLayout geometry(
-      s, FabricLayout::Options{.strict = true, .register_tables = false});
+      s, FabricLayout::Options{.register_tables = false});
   const FabricLayout full(s);
   // Extents and keys agree with the full layout; only the inverse tables
   // are skipped (FlowSim constructs wafer-scale layouts and has no
@@ -211,7 +201,7 @@ TEST(FabricLayout, RegisterTablesAreOptional) {
   // Geometry-only mode (the schedule validator): neighbour/link tables
   // agree with the full layout, the key spaces report empty.
   const FabricLayout geo_only(
-      s, FabricLayout::Options{.strict = false, .interning = false});
+      s, FabricLayout::Options{.interning = false});
   EXPECT_EQ(geo_only.total_colors(), 0u);
   EXPECT_EQ(geo_only.total_regs(), 0u);
   EXPECT_EQ(geo_only.total_ops(), 0u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "collectives/collectives.hpp"
+#include "runtime/planner.hpp"
 #include "sim_test_utils.hpp"
 #include "wse/checks.hpp"
 
@@ -81,15 +82,19 @@ TEST(MidRoot, BroadcastFromArbitraryRoot) {
 }
 
 TEST(MidRoot, ModelPrefersMidRootInLatencyRegime) {
+  // The end-rooted vendor Chain+Bcast, priced by the planner.
+  const runtime::Planner planner(64, kMp);
+  const auto chain_bcast = [&](u32 p, u32 b) {
+    return planner
+        .predict({runtime::Collective::AllReduce, {p, 1}, b, "Chain+Bcast"})
+        .cycles;
+  };
   // Small B: mid-rooted beats end-rooted in the model too.
-  EXPECT_LT(predict_midroot_allreduce(64, 1, kMp).cycles,
-            predict_reduce_then_broadcast(ReduceAlgo::Chain, 64, 1, kMp).cycles);
+  EXPECT_LT(predict_midroot_allreduce(64, 1, kMp).cycles, chain_bcast(64, 1));
   // Huge B: both are contention-bound; mid-root pays 2B at the root, so the
   // advantage disappears.
   EXPECT_GE(predict_midroot_allreduce(8, 1u << 15, kMp).cycles,
-            predict_reduce_then_broadcast(ReduceAlgo::Chain, 8, 1u << 15, kMp)
-                    .cycles -
-                (1 << 15));
+            chain_bcast(8, 1u << 15) - (1 << 15));
 }
 
 }  // namespace

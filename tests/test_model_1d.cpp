@@ -27,6 +27,15 @@ std::string best_fixed(runtime::Collective c, u32 p, u32 b) {
   return runtime::best_candidate(rows)->desc->name;
 }
 
+/// Cycles of the Reduce-then-Broadcast AllReduce over `algo` on a P-PE row:
+/// the registry's "<algo>+Bcast" descriptor priced by the planner.
+i64 reduce_then_bcast_cycles(ReduceAlgo algo, u32 p, u32 b) {
+  return planner()
+      .predict({runtime::Collective::AllReduce, {p, 1}, b,
+                std::string(name(algo)) + "+Bcast"})
+      .cycles;
+}
+
 TEST(Model1D, MessageMatchesPaperFormula) {
   // T = B + P + 2*T_R (Section 4.1).
   for (u32 p : {2u, 5u, 64u, 512u}) {
@@ -117,8 +126,7 @@ TEST(Model1D, ReduceThenBroadcastAddsCycles) {
   for (ReduceAlgo a : kFixedReduceAlgos) {
     const Prediction r = predict_reduce_1d(a, 64, 256, kMp);
     const Prediction b = predict_broadcast_1d(64, 256, kMp);
-    EXPECT_EQ(predict_reduce_then_broadcast(a, 64, 256, kMp).cycles,
-              r.cycles + b.cycles);
+    EXPECT_EQ(reduce_then_bcast_cycles(a, 64, 256), r.cycles + b.cycles);
   }
 }
 
@@ -144,12 +152,11 @@ TEST(Model1D, TreeWinsForSmallVectors) {
 TEST(Model1D, RingBeatsChainBcastOnlyForLargeVectors) {
   // Fig. 8: ring occupies the large-B / small-P band.
   const i64 ring = predict_ring_allreduce(8, 1u << 15, kMp).cycles;
-  const i64 chainb =
-      predict_reduce_then_broadcast(ReduceAlgo::Chain, 8, 1u << 15, kMp).cycles;
+  const i64 chainb = reduce_then_bcast_cycles(ReduceAlgo::Chain, 8, 1u << 15);
   EXPECT_LT(ring, chainb);
   // ... but never for small vectors.
   EXPECT_GT(predict_ring_allreduce(8, 16, kMp).cycles,
-            predict_reduce_then_broadcast(ReduceAlgo::Chain, 8, 16, kMp).cycles);
+            reduce_then_bcast_cycles(ReduceAlgo::Chain, 8, 16));
 }
 
 TEST(Model1D, ButterflyAndRingAreNeverBestForLargeP) {

@@ -51,7 +51,9 @@ TEST(Model2D, XYReduceIsSumOfAxes) {
   for (ReduceAlgo a : kFixedReduceAlgos) {
     const i64 x = predict_reduce_1d(a, 32, 64, kMp).cycles;
     const i64 y = predict_reduce_1d(a, 16, 64, kMp).cycles;
-    EXPECT_EQ(predict_xy_reduce(a, a, g, 64, kMp).cycles, x + y);
+    const std::string xy = std::string("X-Y ") + name(a);
+    EXPECT_EQ(planner().predict({runtime::Collective::Reduce, g, 64, xy}).cycles,
+              x + y);
   }
 }
 

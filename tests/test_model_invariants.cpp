@@ -150,18 +150,24 @@ TEST(ModelCrossovers, ReduceWinnerOrderIsStarTreeTwoPhaseChain) {
   EXPECT_EQ(std::string(order[stage]), "Chain");  // ends bandwidth-bound
 }
 
+/// The registry's same-pattern "X-Y <algo>" Reduce priced by the planner.
+Prediction xy_reduce(ReduceAlgo a, GridShape g, u32 b) {
+  return planner().predict(
+      {runtime::Collective::Reduce, g, b, std::string("X-Y ") + name(a)});
+}
+
 TEST(ModelInvariants2D, XYSymmetricOnSquareGrids) {
   for (ReduceAlgo a : kFixedReduceAlgos) {
     const GridShape g{64, 64};
-    const Prediction xy = predict_xy_reduce(a, a, g, 128, kMp);
+    const Prediction xy = xy_reduce(a, g, 128);
     EXPECT_EQ(xy.cycles, 2 * predict_reduce_1d(a, 64, 128, kMp).cycles);
   }
 }
 
 TEST(ModelInvariants2D, TransposedGridsCostTheSame) {
   for (ReduceAlgo a : kFixedReduceAlgos) {
-    EXPECT_EQ(predict_xy_reduce(a, a, {128, 8}, 64, kMp).cycles,
-              predict_xy_reduce(a, a, {8, 128}, 64, kMp).cycles);
+    EXPECT_EQ(xy_reduce(a, {128, 8}, 64).cycles,
+              xy_reduce(a, {8, 128}, 64).cycles);
   }
 }
 

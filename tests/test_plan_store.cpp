@@ -738,14 +738,14 @@ TEST(ServingCacheVerbs, PutRefusesAnInvalidSchedule) {
   opts.serve_cache = true;
   serving::Core core(opts);
 
-  // A structurally valid record carrying an unservable schedule: zero the
-  // first routing rule's count (validate: "every rule has count > 0").
+  // Structurally valid records carrying unservable schedules.
   const PlanRequest req = reduce_req(8, 16);
   const PlanKey key = key_of(req);
-  Plan bad = *plan_of(req);
-  ASSERT_FALSE(bad.schedule.rules.empty());
+  // Zero the first routing rule's count (validate: "every rule has
+  // count > 0").
+  Plan zero_count = *plan_of(req);
   bool corrupted = false;
-  for (auto& pe_rules : bad.schedule.rules) {
+  for (auto& pe_rules : zero_count.schedule.rules) {
     if (!pe_rules.empty()) {
       pe_rules[0].count = 0;
       corrupted = true;
@@ -753,16 +753,32 @@ TEST(ServingCacheVerbs, PutRefusesAnInvalidSchedule) {
     }
   }
   ASSERT_TRUE(corrupted);
-  EXPECT_EQ(serve_one(core, strip_newline(PeerStore::put_request_line(
-                                key, bad))),
-            "{\"ok\":false}\n");
-  // The refusal is counted and the record never reaches any tier.
-  EXPECT_NE(serve_one(core, "{\"verb\":\"stats\"}")
-                .find("\"invalid_plans\":1"),
-            std::string::npos);
-  EXPECT_EQ(serve_one(core,
-                      strip_newline(PeerStore::get_request_line(key))),
-            "{\"hit\":false}\n");
+  // Shift every color past the machine's 24 ids: the same transfers on as
+  // many colors, so only the ids are wrong.
+  Plan recolored = *plan_of(req);
+  for (auto& pe_rules : recolored.schedule.rules) {
+    for (wse::RouteRule& r : pe_rules) r.color += wse::kNumColors;
+  }
+  for (wse::PEProgram& prog : recolored.schedule.programs) {
+    for (wse::Op& op : prog.ops) {
+      op.in_color += wse::kNumColors;
+      op.out_color += wse::kNumColors;
+    }
+  }
+
+  int refused = 0;
+  for (const Plan* bad : {&zero_count, &recolored}) {
+    EXPECT_EQ(serve_one(core, strip_newline(PeerStore::put_request_line(
+                                  key, *bad))),
+              "{\"ok\":false}\n");
+    // The refusal is counted and the record never reaches any tier.
+    EXPECT_NE(serve_one(core, "{\"verb\":\"stats\"}")
+                  .find("\"invalid_plans\":" + std::to_string(++refused)),
+              std::string::npos);
+    EXPECT_EQ(serve_one(core,
+                        strip_newline(PeerStore::get_request_line(key))),
+              "{\"hit\":false}\n");
+  }
 }
 
 TEST(ServingCacheVerbs, DiskRestoreIsRevalidatedBeforeServing) {

@@ -163,5 +163,12 @@ TEST(Reduce1DTiming, TwoPhaseGroupSizeDefaultNearOptimal) {
   EXPECT_LE(static_cast<double>(def.cycles), 1.15 * static_cast<double>(best));
 }
 
+TEST(Reduce1DDeath, AutoGenNeedsTheCallersModel) {
+  // Auto-Gen's tree depends on the machine, so the builder takes the
+  // caller's DP model and never guesses one.
+  EXPECT_DEATH(collectives::make_reduce_1d(ReduceAlgo::AutoGen, 16, 64),
+               "needs the DP model");
+}
+
 }  // namespace
 }  // namespace wsr

@@ -85,6 +85,31 @@ TEST(Checks, StrayRampTrafficDetected) {
   EXPECT_FALSE(validate(s).empty());
 }
 
+TEST(Checks, ColorIdsTheMachineLacksDetected) {
+  // A 2-PE transfer on one color: colors_used() is 1, so only the id
+  // itself can be wrong. Both rules and both ops name it.
+  const auto transfer = [](Color c) {
+    Schedule s({2, 1}, 4, "color");
+    s.program(1).add(Op::send(c, 4));
+    s.add_rule(1u, {c, Dir::Ramp, dir_bit(Dir::West), 4});
+    s.program(0).add(Op::recv(c, 4, RecvMode::Add));
+    s.add_rule(0u, {c, Dir::East, dir_bit(Dir::Ramp), 4});
+    return s;
+  };
+  EXPECT_TRUE(validate(transfer(kNumColors - 1)).empty());
+  for (Color c : {Color{kNumColors}, Color{40}}) {
+    const Schedule s = transfer(c);
+    EXPECT_EQ(s.colors_used(), 1u);
+    const auto problems = validate(s);
+    ASSERT_EQ(problems.size(), 4u) << "color " << u32{c};
+    for (const std::string& p : problems) {
+      EXPECT_NE(p.find("color " + std::to_string(c) + " is not one of"),
+                std::string::npos)
+          << p;
+    }
+  }
+}
+
 TEST(Schedule, DumpIsHumanReadable) {
   const Schedule s = collectives::make_reduce_1d(ReduceAlgo::Chain, 4, 8);
   const std::string d = s.dump();

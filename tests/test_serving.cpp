@@ -11,6 +11,7 @@
 #include <atomic>
 #include <thread>
 
+#include "runtime/plan_json.hpp"
 #include "serving/core.hpp"
 #include "serving/event_loop.hpp"
 #include "serving/histogram.hpp"
@@ -172,6 +173,34 @@ TEST(ParseRequest, RejectsMalformedLinesInBand) {
     const Request r = with_tr(std::to_string(good));
     EXPECT_EQ(r.error, "") << "tr=" << good;
     EXPECT_EQ(r.mp.ramp_latency, good);
+  }
+}
+
+TEST(FrontEndParsers, BytesGridAndRampLatency) {
+  // One bytes rule for wsrd's "bytes" and wsr_plan's <bytes>: a positive
+  // multiple of 4 with bytes / 4 <= 2^32 - 1.
+  EXPECT_EQ(runtime::vec_len_for_bytes(4), 1u);
+  EXPECT_EQ(runtime::vec_len_for_bytes(17179869180ull), 0xffffffffu);
+  for (u64 bad : {0ull, 6ull, 17179869184ull, 18446744073709551612ull}) {
+    EXPECT_FALSE(runtime::vec_len_for_bytes(bad).has_value()) << bad;
+  }
+  // wsr_plan reads decimal digits only.
+  EXPECT_EQ(runtime::parse_bytes("0004"), 1u);
+  for (const char* bad : {"", "4abc", "-4", "+4", " 4", "4.0", "17179869184",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(runtime::parse_bytes(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(runtime::parse_grid("512"), (GridShape{512, 1}));
+  EXPECT_EQ(runtime::parse_grid("64x32"), (GridShape{64, 32}));
+  EXPECT_EQ(runtime::parse_grid("4294967295x1"),
+            (GridShape{0xffffffffu, 1}));
+  for (const char* bad : {"", "0", "4x0", "x4", "4x", "4x4x4", "-4", "4294967296",
+                          "1x4294967296"}) {
+    EXPECT_FALSE(runtime::parse_grid(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(runtime::parse_ramp_latency("1024"), 1024u);
+  for (const char* bad : {"", "1025", "-1", "2.7", "abc"}) {
+    EXPECT_FALSE(runtime::parse_ramp_latency(bad).has_value()) << bad;
   }
 }
 

@@ -112,12 +112,13 @@ int main(int argc, char** argv) {
   if (argc < 4) return usage();
   const std::string collective_arg = argv[1];
   const std::string grid_arg = argv[2];
-  const u64 bytes = std::strtoull(argv[3], nullptr, 10);
-  if (bytes == 0 || bytes % 4 != 0) {
+  const auto words = runtime::parse_bytes(argv[3]);
+  if (!words.has_value()) {
     std::fprintf(stderr, "bytes must be a positive multiple of 4\n");
     return 2;
   }
-  const u32 vec_len = static_cast<u32>(bytes / 4);
+  const u32 vec_len = *words;
+  const u64 bytes = u64{vec_len} * 4;
 
   std::string algo, cache_dir;
   bool simulate = false, json = false, dump = false;

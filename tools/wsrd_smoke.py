@@ -87,8 +87,9 @@ SIMULATE_CASES = [
 ]
 
 
-# wsr_plan arguments that must exit 2: --tr is an integer in 0..1024, and
-# no grid extent may exceed 1024.
+# wsr_plan arguments that must exit 2: --tr is an integer in 0..1024, no
+# grid extent may exceed 1024, and <bytes> is a positive multiple of 4 whose
+# wavelet count fits 32 bits, written in decimal digits only.
 BAD_CLI_CASES = [
     ["reduce", "64", "256", "--tr=abc"],
     ["reduce", "64", "256", "--tr=-1"],
@@ -98,6 +99,9 @@ BAD_CLI_CASES = [
     ["reduce", "70000", "4"],
     ["broadcast", "60000x60000", "4"],
     ["allreduce", "1025x2", "4"],
+    ["reduce", "4", "4abc"],
+    ["reduce", "4", "-4"],
+    ["reduce", "4", "17179869184"],
 ]
 
 
@@ -273,7 +277,7 @@ def main():
                 fail(f"wsr_plan must exit 2, exited {proc.returncode}", args,
                      proc.stderr)
         print(f"ok: wsr_plan exits 2 on {len(BAD_CLI_CASES)} malformed or "
-              f"out-of-range --tr / grid arguments")
+              f"out-of-range --tr / grid / bytes arguments")
         return 0
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
