@@ -20,10 +20,10 @@ using namespace wsr;
 int main(int argc, char** argv) {
   bench::Bench bench(argc, argv, "fig01_optimality_ratio");
   const MachineParams mp;
-  const autogen::LowerBound lb(512, mp);
+  const autogen::LowerBound lb(512);
   const runtime::Planner planner(512, mp);
+  planner.autogen_model();  // fill the DP table once, outside the cells
   const registry::PlanContext ctx = planner.context();
-  ctx.autogen();  // build the DP table once, outside the cells
   const auto pes = bench::pe_sweep();
   const auto lens = bench::vec_len_sweep_wavelets(8192);
 
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
           const registry::AlgorithmDescriptor& d = *algos[ai];
           const double cycles = static_cast<double>(
               d.lower_bound_comparable_cost({pes[r], 1}, lens[c], ctx).cycles);
-          ratios[ai][r][c] = cycles / lb.cycles(pes[r], lens[c]);
+          ratios[ai][r][c] = cycles / lb.cycles(pes[r], lens[c], mp);
         });
       }
     }

@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
   const MachineParams mp;
   const u32 P = 512;
   const runtime::Planner planner(P, mp);
-  planner.autogen_model();  // build the DP table once, outside the cells
+  // Fill the DP table once, outside the cells.
+  const autogen::AutoGenModel model = planner.autogen_model();
   const auto lens = bench::vec_len_sweep_wavelets(4096);
 
   const ReduceAlgo algos[] = {ReduceAlgo::Star, ReduceAlgo::Chain,
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
     const ReduceAlgo a = algos[ai];
     for (std::size_t i = 0; i < lens.size(); ++i) {
       const u32 b = lens[i];
-      bench.runner().cell(&series[ai].points[i], [=, &planner] {
+      bench.runner().cell(&series[ai].points[i], [=, &planner, &model] {
         const i64 pred = planner
                              .predict({runtime::Collective::AllReduce,
                                        {P, 1},
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
                                        std::string(name(a)) + "+Bcast"})
                              .cycles;
         const i64 meas = bench::measured_cycles(
-            collectives::make_allreduce_1d(a, P, b, &planner.autogen_model()),
+            collectives::make_allreduce_1d(a, P, b, &model),
             pred);
         return bench::Measurement{meas, pred};
       });

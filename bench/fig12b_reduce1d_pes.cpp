@@ -13,7 +13,8 @@ int main(int argc, char** argv) {
   const MachineParams mp;
   const u32 B = 256;  // 1 KB
   const runtime::Planner planner(512, mp);
-  planner.autogen_model();  // build the DP table once, outside the cells
+  // Fill the DP table once, outside the cells.
+  const autogen::AutoGenModel model = planner.autogen_model();
   const auto pes = bench::pe_sweep();
 
   const ReduceAlgo algos[] = {ReduceAlgo::Star, ReduceAlgo::Chain,
@@ -31,12 +32,12 @@ int main(int argc, char** argv) {
     const ReduceAlgo a = algos[ai];
     for (std::size_t i = 0; i < pes.size(); ++i) {
       const u32 p = pes[i];
-      bench.runner().cell(&series[ai].points[i], [=, &planner] {
+      bench.runner().cell(&series[ai].points[i], [=, &planner, &model] {
         const i64 pred =
             planner.predict({runtime::Collective::Reduce, {p, 1}, B, name(a)})
                 .cycles;
         const i64 meas = bench::measured_cycles(
-            collectives::make_reduce_1d(a, p, B, &planner.autogen_model()),
+            collectives::make_reduce_1d(a, p, B, &model),
             pred);
         return bench::Measurement{meas, pred};
       });

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   const MachineParams mp;
   const GridShape grid{512, 512};
   const runtime::Planner planner(512, mp);
+  planner.autogen_model();  // fill the DP table once, outside the cells
   const registry::PlanContext ctx = planner.context();
-  ctx.autogen();  // build the DP table once, outside the cells
   const auto lens = bench::vec_len_sweep_wavelets(4096);
 
   const auto descs = registry::AlgorithmRegistry::instance().query(

@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   const MachineParams mp;
   const u32 B = 256;  // 1 KB
   const runtime::Planner planner(512, mp);
+  planner.autogen_model();  // fill the DP table once, outside the cells
   const registry::PlanContext ctx = planner.context();
-  ctx.autogen();  // build the DP table once, outside the cells
   const auto pes = bench::pe_sweep();
 
   const auto descs = registry::AlgorithmRegistry::instance().query(

@@ -59,8 +59,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 static void BM_AutoGenTableFill(benchmark::State& state) {
   const u32 p = static_cast<u32>(state.range(0));
   for (auto _ : state) {
-    autogen::AutoGenModel model(p);
-    benchmark::DoNotOptimize(model.energy(p, 1, p - 1));
+    autogen::EnergyTable table(p);
+    benchmark::DoNotOptimize(table.energy(p, 1, p - 1));
   }
   state.SetLabel("pruned DP table, all P' <= P");
 }

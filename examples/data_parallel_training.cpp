@@ -3,13 +3,14 @@
 // The motivating ML workload (paper Section 1): every PE holds a gradient
 // shard after its local backward pass and all PEs need the summed gradients
 // before the optimizer step. This example sizes the AllReduce per layer of a
-// small MLP, plans the whole step as one batch (plan_many + PlanCache: the
-// serving path, since a training run re-requests identical shapes every
-// step), simulates the wafer-scale timing with FlowSim, and verifies
+// small MLP, plans the whole step as one parallel batch through a PlanCache
+// (the serving path, since a training run re-requests identical shapes
+// every step), simulates the wafer-scale timing with FlowSim, and verifies
 // numerics on a small grid with the cycle-level simulator.
 #include <cstdio>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "flowsim/flowsim.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/planner.hpp"
@@ -37,7 +38,13 @@ int main() {
         {runtime::Collective::AllReduce, wafer, l.grad_wavelets, ""});
   }
   runtime::PlanCache cache;
-  const auto plans = planner.plan_many(requests, &cache);
+  std::vector<std::shared_ptr<const runtime::Plan>> plans(requests.size());
+  const auto plan_step = [&] {
+    parallel_for_index(requests.size(), 0, [&](std::size_t i) {
+      plans[i] = cache.get_or_plan(planner, requests[i]);
+    });
+  };
+  plan_step();
 
   std::printf("Gradient AllReduce on %ux%u PEs (per training step):\n\n",
               wafer.width, wafer.height);
@@ -58,7 +65,7 @@ int main() {
 
   // Step 2 of training re-requests the same shapes: all cache hits, the
   // schedules are shared, planning cost drops to hash lookups.
-  planner.plan_many(requests, &cache);
+  plan_step();
   std::printf("plan cache after 2 steps: %llu hits, %llu misses, %zu plans\n\n",
               static_cast<unsigned long long>(cache.hits()),
               static_cast<unsigned long long>(cache.misses()), cache.size());

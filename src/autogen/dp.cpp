@@ -1,13 +1,15 @@
 #include "autogen/dp.hpp"
 
 #include <algorithm>
+#include <mutex>
 
+#include "autogen/lower_bound.hpp"
 #include "common/math.hpp"
 
 namespace wsr::autogen {
 
-AutoGenModel::AutoGenModel(u32 max_pes, wsr::MachineParams mp, DpLimits limits)
-    : max_pes_(max_pes), mp_(mp), limits_(limits) {
+EnergyTable::EnergyTable(u32 max_pes, DpLimits limits)
+    : max_pes_(max_pes), limits_(limits) {
   WSR_ASSERT(max_pes_ >= 1 && max_pes_ <= 65534, "max_pes out of range");
   d_small_max_ = std::max<u32>(1, max_pes_ - 1);
   limits_.c_small = std::max<u32>(1, std::min(limits_.c_small, max_pes_));
@@ -23,35 +25,35 @@ AutoGenModel::AutoGenModel(u32 max_pes, wsr::MachineParams mp, DpLimits limits)
   fill_tables();
 }
 
-i32& AutoGenModel::small_at(u32 c, u32 d, u32 p) {
+i32& EnergyTable::small_at(u32 c, u32 d, u32 p) {
   const std::size_t row = max_pes_ + 1;
   return small_energy_[((std::size_t{c - 1} * d_small_max_) + (d - 1)) * row + p];
 }
-i32 AutoGenModel::small_at(u32 c, u32 d, u32 p) const {
+i32 EnergyTable::small_at(u32 c, u32 d, u32 p) const {
   const std::size_t row = max_pes_ + 1;
   return small_energy_[((std::size_t{c - 1} * d_small_max_) + (d - 1)) * row + p];
 }
-i32& AutoGenModel::cap_at(u32 c, u32 d, u32 p) {
+i32& EnergyTable::cap_at(u32 c, u32 d, u32 p) {
   const std::size_t row = max_pes_ + 1;
   const u32 ci = c - limits_.c_small - 1;
   return cap_energy_[((std::size_t{ci} * limits_.d_cap) + (d - 1)) * row + p];
 }
-i32 AutoGenModel::cap_at(u32 c, u32 d, u32 p) const {
+i32 EnergyTable::cap_at(u32 c, u32 d, u32 p) const {
   const std::size_t row = max_pes_ + 1;
   const u32 ci = c - limits_.c_small - 1;
   return cap_energy_[((std::size_t{ci} * limits_.d_cap) + (d - 1)) * row + p];
 }
-u16 AutoGenModel::argmin_small(u32 c, u32 d, u32 p) const {
+u16 EnergyTable::argmin_small(u32 c, u32 d, u32 p) const {
   const std::size_t row = max_pes_ + 1;
   return small_split_[((std::size_t{c - 1} * d_small_max_) + (d - 1)) * row + p];
 }
-u16 AutoGenModel::argmin_cap(u32 c, u32 d, u32 p) const {
+u16 EnergyTable::argmin_cap(u32 c, u32 d, u32 p) const {
   const std::size_t row = max_pes_ + 1;
   const u32 ci = c - limits_.c_small - 1;
   return cap_split_[((std::size_t{ci} * limits_.d_cap) + (d - 1)) * row + p];
 }
 
-void AutoGenModel::fill_tables() {
+void EnergyTable::fill_tables() {
   const u32 P = max_pes_;
   const std::size_t row = P + 1;
 
@@ -172,7 +174,7 @@ void AutoGenModel::fill_tables() {
   }
 }
 
-i32 AutoGenModel::energy(u32 p, u32 d, u32 c) const {
+i32 EnergyTable::energy(u32 p, u32 d, u32 c) const {
   WSR_ASSERT(p >= 1 && p <= max_pes_, "p out of range");
   if (p == 1) return 0;
   if (d == 0 || c == 0) return kInfEnergy;
@@ -185,26 +187,49 @@ i32 AutoGenModel::energy(u32 p, u32 d, u32 c) const {
   return std::min(cap_at(cc, limits_.d_cap, p), small_at(limits_.c_small, d, p));
 }
 
+template <class T>
+std::shared_ptr<const T> shared_table(u32 pes) {
+  // `mu` guards the published table; `fill_mu` serializes fills, so a
+  // reader the current table covers never waits on a larger fill.
+  static std::mutex mu, fill_mu;
+  static std::shared_ptr<const T> current;
+  const auto covering = [&]() -> std::shared_ptr<const T> {
+    std::lock_guard<std::mutex> lock(mu);
+    return current && current->max_pes() >= pes ? current : nullptr;
+  };
+  if (std::shared_ptr<const T> t = covering()) return t;
+  std::lock_guard<std::mutex> fill(fill_mu);
+  if (std::shared_ptr<const T> t = covering()) return t;  // filled meanwhile
+  auto t = std::make_shared<const T>(pes);
+  std::lock_guard<std::mutex> lock(mu);
+  current = t;
+  return t;
+}
+
+template std::shared_ptr<const EnergyTable> shared_table(u32);
+template std::shared_ptr<const LowerBound> shared_table(u32);
+
 AutoGenModel::Choice AutoGenModel::best_choice(u32 num_pes, u32 vec_len) const {
-  WSR_ASSERT(num_pes >= 1 && num_pes <= max_pes_, "num_pes out of range");
+  WSR_ASSERT(num_pes >= 1 && num_pes <= max_pes(), "num_pes out of range");
   WSR_ASSERT(vec_len >= 1, "vec_len must be >= 1");
   Choice best;
   best.cycles = INT64_MAX;
   if (num_pes == 1) return {0, 0, 0, 0};
+  const DpLimits& lim = table_->limits();
   const i64 P = num_pes, B = vec_len;
   const i64 per_depth = mp_.per_depth_cycles();
   auto consider = [&](u32 d, u32 c) {
-    const i32 e = energy(num_pes, d, c);
+    const i32 e = table_->energy(num_pes, d, c);
     if (e >= kInfEnergy) return;
     const i64 bw = ceil_div(B * e, P - 1) + (P - 1);
     const i64 cyc = std::max(B * c, bw) + per_depth * d;
     if (cyc < best.cycles) best = {d, c, e, cyc};
   };
-  const u32 c_max = std::min<u32>(limits_.c_cap, num_pes - 1);
+  const u32 c_max = std::min<u32>(lim.c_cap, num_pes - 1);
   for (u32 c = 1; c <= c_max; ++c) {
-    const u32 d_max = c <= limits_.c_small
+    const u32 d_max = c <= lim.c_small
                           ? num_pes - 1
-                          : std::min<u32>(limits_.d_cap, num_pes - 1);
+                          : std::min<u32>(lim.d_cap, num_pes - 1);
     for (u32 d = 1; d <= d_max; ++d) consider(d, c);
   }
   WSR_ASSERT(best.cycles != INT64_MAX, "no feasible Auto-Gen state");
@@ -222,7 +247,7 @@ wsr::Prediction AutoGenModel::predict(u32 num_pes, u32 vec_len) const {
   return wsr::Prediction(t, ch.cycles);
 }
 
-u32 AutoGenModel::split_for(u32 p, u32 d, u32 c) const {
+u32 EnergyTable::split_for(u32 p, u32 d, u32 c) const {
   WSR_ASSERT(p >= 2, "split_for needs p >= 2");
   d = std::min(d, p - 1);
   c = std::min(c, p - 1);
@@ -236,8 +261,8 @@ u32 AutoGenModel::split_for(u32 p, u32 d, u32 c) const {
   return argmin_small(limits_.c_small, d, p);
 }
 
-void AutoGenModel::build_rec(u32 p, u32 d, u32 c, u32 base,
-                             ReduceTree& tree) const {
+void EnergyTable::build_rec(u32 p, u32 d, u32 c, u32 base,
+                            ReduceTree& tree) const {
   if (p == 1) return;
   // Mirror the clamping used by energy() so the stored split matches.
   d = std::min(d, p - 1);
@@ -262,8 +287,8 @@ void AutoGenModel::build_rec(u32 p, u32 d, u32 c, u32 base,
   build_rec(p - i, de - 1, ce, base + i, tree);
 }
 
-ReduceTree AutoGenModel::build_tree_for_budget(u32 num_pes, u32 depth,
-                                               u32 fanout) const {
+ReduceTree EnergyTable::build_tree_for_budget(u32 num_pes, u32 depth,
+                                              u32 fanout) const {
   WSR_ASSERT(num_pes >= 1 && num_pes <= max_pes_, "num_pes out of range");
   ReduceTree tree;
   tree.children.resize(num_pes);
@@ -281,7 +306,7 @@ ReduceTree AutoGenModel::build_tree(u32 num_pes, u32 vec_len) const {
     return t;
   }
   const Choice ch = best_choice(num_pes, vec_len);
-  return build_tree_for_budget(num_pes, ch.depth, ch.fanout);
+  return table_->build_tree_for_budget(num_pes, ch.depth, ch.fanout);
 }
 
 }  // namespace wsr::autogen

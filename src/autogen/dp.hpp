@@ -28,6 +28,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "autogen/tree.hpp"
@@ -45,21 +46,78 @@ struct DpLimits {
   u32 d_cap = 128;  ///< max depth in the capped region.
 };
 
-/// Owns the DP tables for all P <= max_pes and answers prediction /
-/// reconstruction queries. Construction cost is a one-time O(~1e9) table
-/// fill for max_pes = 512 (about a second); benches share one instance.
-class AutoGenModel {
+/// The machine-free half of the DP: E(P, D, C) and its split table for all
+/// P <= max_pes, filled once at construction (an O(~1e9) fill for
+/// max_pes = 512, about 0.4 s). Nothing here reads the machine —
+/// T_R enters only AutoGenModel's synthesis — and the table is prefix-closed
+/// in P (a table of n PEs answers every query on P <= n exactly like a
+/// larger one), so one table serves every machine and every smaller row.
+class EnergyTable {
  public:
-  explicit AutoGenModel(u32 max_pes, wsr::MachineParams mp = {},
-                        DpLimits limits = {});
+  explicit EnergyTable(u32 max_pes, DpLimits limits = {});
 
   u32 max_pes() const { return max_pes_; }
-  const wsr::MachineParams& machine() const { return mp_; }
   const DpLimits& limits() const { return limits_; }
 
   /// Minimum tree energy for B = 1 with depth <= d, fanout <= c. Queries
   /// outside the computed region are clamped (see file comment).
   i32 energy(u32 p, u32 d, u32 c) const;
+
+  /// Reconstructs the minimum-energy tree for an explicit (D, C) budget.
+  ReduceTree build_tree_for_budget(u32 num_pes, u32 depth, u32 fanout) const;
+
+ private:
+  // Table addressing. The "small" region stores c in [1, c_small] with
+  // d in [1, max_pes-1]; the "cap" region stores c in [1, c_cap] with
+  // d in [1, d_cap] (the low-c block is shared with the small region to keep
+  // the recurrence's c-1 lookups uniform; memory is dominated by the cap
+  // block anyway).
+  i32& small_at(u32 c, u32 d, u32 p);
+  i32 small_at(u32 c, u32 d, u32 p) const;
+  i32& cap_at(u32 c, u32 d, u32 p);
+  i32 cap_at(u32 c, u32 d, u32 p) const;
+  u16 argmin_small(u32 c, u32 d, u32 p) const;
+  u16 argmin_cap(u32 c, u32 d, u32 p) const;
+
+  void fill_tables();
+  void build_rec(u32 p, u32 d, u32 c, u32 base, ReduceTree& tree) const;
+  /// The split argument i realizing energy(p, d, c) (recomputed if the state
+  /// was clamped).
+  u32 split_for(u32 p, u32 d, u32 c) const;
+
+  u32 max_pes_;
+  DpLimits limits_;
+  u32 d_small_max_;  // = max_pes - 1
+
+  // small_[ (c-1) * d_stride + (d-1) ] row of length (max_pes+1), index p.
+  std::vector<i32> small_energy_;
+  std::vector<u16> small_split_;
+  std::vector<i32> cap_energy_;
+  std::vector<u16> cap_split_;
+};
+
+/// The process-wide table of type T (EnergyTable or LowerBound) covering
+/// `pes`: the current one when it is at least that large, otherwise a new
+/// one of exactly `pes`. Fills run one at a time behind a fill mutex and
+/// are published whole; holders of a replaced table keep using it.
+template <class T>
+std::shared_ptr<const T> shared_table(u32 pes);
+
+/// The Auto-Gen model of one machine: a cheap view pairing a shared
+/// EnergyTable with the machine's per-depth cost, answering prediction and
+/// reconstruction queries.
+class AutoGenModel {
+ public:
+  /// A view on the process-wide table covering `max_pes` (shared_table).
+  explicit AutoGenModel(u32 max_pes, wsr::MachineParams mp = {})
+      : AutoGenModel(shared_table<EnergyTable>(max_pes), std::move(mp)) {}
+  AutoGenModel(std::shared_ptr<const EnergyTable> table,
+               wsr::MachineParams mp = {})
+      : table_(std::move(table)), mp_(std::move(mp)) {}
+
+  u32 max_pes() const { return table_->max_pes(); }
+  const wsr::MachineParams& machine() const { return mp_; }
+  const EnergyTable& table() const { return *table_; }
 
   /// The (D, C) pair minimizing the synthesized runtime for (P, B), plus the
   /// resulting energy and cycle count.
@@ -78,39 +136,9 @@ class AutoGenModel {
   /// Reconstructs an optimal pre-order reduction tree for (P, B).
   ReduceTree build_tree(u32 num_pes, u32 vec_len) const;
 
-  /// Reconstructs the minimum-energy tree for an explicit (D, C) budget.
-  ReduceTree build_tree_for_budget(u32 num_pes, u32 depth, u32 fanout) const;
-
  private:
-  // Table addressing. The "small" region stores c in [1, c_small] with
-  // d in [1, max_pes-1]; the "cap" region stores c in [1, c_cap] with
-  // d in [1, d_cap] (the low-c block is shared with the small region to keep
-  // the recurrence's c-1 lookups uniform; memory is dominated by the cap
-  // block anyway).
-  i32 energy_raw(u32 p, u32 d, u32 c) const;        // exact table lookup
-  i32& small_at(u32 c, u32 d, u32 p);
-  i32 small_at(u32 c, u32 d, u32 p) const;
-  i32& cap_at(u32 c, u32 d, u32 p);
-  i32 cap_at(u32 c, u32 d, u32 p) const;
-  u16 argmin_small(u32 c, u32 d, u32 p) const;
-  u16 argmin_cap(u32 c, u32 d, u32 p) const;
-
-  void fill_tables();
-  void build_rec(u32 p, u32 d, u32 c, u32 base, ReduceTree& tree) const;
-  /// The split argument i realizing energy(p, d, c) (recomputed if the state
-  /// was clamped).
-  u32 split_for(u32 p, u32 d, u32 c) const;
-
-  u32 max_pes_;
+  std::shared_ptr<const EnergyTable> table_;
   wsr::MachineParams mp_;
-  DpLimits limits_;
-  u32 d_small_max_;  // = max_pes - 1
-
-  // small_[ (c-1) * d_stride + (d-1) ] row of length (max_pes+1), index p.
-  std::vector<i32> small_energy_;
-  std::vector<u16> small_split_;
-  std::vector<i32> cap_energy_;
-  std::vector<u16> cap_split_;
 };
 
 }  // namespace wsr::autogen

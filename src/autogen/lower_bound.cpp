@@ -8,8 +8,7 @@
 
 namespace wsr::autogen {
 
-LowerBound::LowerBound(u32 max_pes, wsr::MachineParams mp)
-    : max_pes_(max_pes), mp_(mp) {
+LowerBound::LowerBound(u32 max_pes) : max_pes_(max_pes) {
   WSR_ASSERT(max_pes_ >= 1, "max_pes must be >= 1");
   d_max_ = std::max<u32>(1, max_pes_ - 1);
   const std::size_t row = max_pes_ + 1;
@@ -44,7 +43,8 @@ i64 LowerBound::energy(u32 p, u32 d) const {
   return at(std::min(d, p - 1), p);
 }
 
-double LowerBound::cycles(u32 num_pes, u32 vec_len) const {
+double LowerBound::cycles(u32 num_pes, u32 vec_len,
+                          const wsr::MachineParams& mp) const {
   WSR_ASSERT(num_pes >= 1 && num_pes <= max_pes_, "num_pes out of range");
   WSR_ASSERT(vec_len >= 1, "vec_len must be >= 1");
   if (num_pes == 1) return 0.0;
@@ -54,13 +54,14 @@ double LowerBound::cycles(u32 num_pes, u32 vec_len) const {
   for (u32 d = 1; d < num_pes; ++d) {
     const double t =
         B * static_cast<double>(energy(num_pes, d)) / Pm1 + Pm1 +
-        static_cast<double>(mp_.per_depth_cycles()) * d;
+        static_cast<double>(mp.per_depth_cycles()) * d;
     best = std::min(best, t);
   }
   return best;
 }
 
-u32 LowerBound::best_depth(u32 num_pes, u32 vec_len) const {
+u32 LowerBound::best_depth(u32 num_pes, u32 vec_len,
+                           const wsr::MachineParams& mp) const {
   WSR_ASSERT(num_pes >= 2 && num_pes <= max_pes_, "num_pes out of range");
   const double B = vec_len;
   const double Pm1 = num_pes - 1;
@@ -69,7 +70,7 @@ u32 LowerBound::best_depth(u32 num_pes, u32 vec_len) const {
   for (u32 d = 1; d < num_pes; ++d) {
     const double t =
         B * static_cast<double>(energy(num_pes, d)) / Pm1 + Pm1 +
-        static_cast<double>(mp_.per_depth_cycles()) * d;
+        static_cast<double>(mp.per_depth_cycles()) * d;
     if (t < best) {
       best = t;
       best_d = d;

@@ -11,6 +11,10 @@
 // vector of length B costs at least B times the scalar energy):
 //
 //   T*(P, B) >= min_D  B * E*(P, D) / (P-1) + (P-1) + D * (2*T_R + 1)
+//
+// Like the Auto-Gen EnergyTable, E* never reads the machine (T_R enters only
+// the depth scan) and is prefix-closed in P, so one table serves every
+// machine: the machine is an argument of cycles() and best_depth().
 #pragma once
 
 #include <vector>
@@ -22,7 +26,7 @@ namespace wsr::autogen {
 
 class LowerBound {
  public:
-  explicit LowerBound(u32 max_pes, wsr::MachineParams mp = {});
+  explicit LowerBound(u32 max_pes);
 
   u32 max_pes() const { return max_pes_; }
 
@@ -30,14 +34,13 @@ class LowerBound {
   i64 energy(u32 p, u32 d) const;
 
   /// T*(P, B) in cycles (real-valued: the energy term is a fraction).
-  double cycles(u32 num_pes, u32 vec_len) const;
+  double cycles(u32 num_pes, u32 vec_len, const wsr::MachineParams& mp) const;
 
   /// The depth realizing the bound (for diagnostics / tests).
-  u32 best_depth(u32 num_pes, u32 vec_len) const;
+  u32 best_depth(u32 num_pes, u32 vec_len, const wsr::MachineParams& mp) const;
 
  private:
   u32 max_pes_;
-  wsr::MachineParams mp_;
   u32 d_max_;
   std::vector<i32> table_;  // [(d-1) * (max_pes+1) + p]
 

@@ -1,11 +1,13 @@
 // Minimal data-parallel primitive shared by the serving path
-// (Planner::plan_many) and the bench sweep engine (bench::SweepRunner).
+// (serving::Core::serve_batch) and the bench sweep engine
+// (bench::SweepRunner).
 //
 // `parallel_for_index` runs fn(0..n-1) across `jobs` threads with dynamic
 // (atomic-counter) scheduling. Determinism contract: which thread runs
 // which index is *not* deterministic, so callers must make each index write
 // only its own output slot — then results are identical at any thread
-// count. Both existing users follow that contract and pin it with tests
+// count. Every caller follows that contract; tests pin it for the sweep
+// engine and for batches planned through a PlanCache
 // (tests/test_sweep_determinism.cpp, tests/test_plan_cache.cpp).
 #pragma once
 

@@ -12,7 +12,7 @@
 //
 // Layering (see DESIGN.md §1/§6): the registry sits above model/, autogen/
 // and collectives/ (its builtin descriptors call into all three) and below
-// runtime/, which owns the PlanContext's Auto-Gen model. Nothing below it
+// runtime/, whose Planner hands the hooks their PlanContext. Nothing below it
 // calls back up: collectives compose their lanes through
 // collectives::build_reduce, and tools/check_layers.py pins the rule.
 #pragma once
@@ -27,10 +27,6 @@
 #include "model/cost.hpp"
 #include "model/params.hpp"
 #include "wse/schedule.hpp"
-
-namespace wsr::autogen {
-class AutoGenModel;
-}
 
 namespace wsr::registry {
 
@@ -51,13 +47,12 @@ constexpr Dims dims_for(GridShape grid) {
   return grid.is_row() ? Dims::OneD : Dims::TwoD;
 }
 
-/// Shared state handed to every descriptor hook: the machine parameters and
-/// a lazy accessor for the Auto-Gen DP model (only built when a generated
-/// algorithm's cost/build hook actually needs it; the table fill is the one
-/// expensive planning step). runtime::Planner::context() makes one.
+/// Shared state handed to every descriptor hook: the machine parameters.
+/// Auto-Gen hooks build their DP view sized by the request's own extent
+/// (autogen::AutoGenModel over the process-wide table).
+/// runtime::Planner::context() makes one.
 struct PlanContext {
   MachineParams mp;
-  std::function<const autogen::AutoGenModel&()> autogen;
 };
 
 /// One registered algorithm. `name` is the stable identity within a

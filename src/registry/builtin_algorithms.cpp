@@ -8,8 +8,11 @@
 // per-algorithm `if` below (fixed predict vs. DP model) is the registry's
 // internal plumbing; everything above it — the planner's candidate table,
 // figures, CLI — is a registry query.
+#include <algorithm>
+#include <memory>
 #include <utility>
 
+#include "autogen/dp.hpp"
 #include "collectives/collectives.hpp"
 #include "collectives/midroot.hpp"
 #include "common/math.hpp"
@@ -25,7 +28,7 @@ namespace {
 Prediction reduce_1d_cost(ReduceAlgo algo, u32 num_pes, u32 vec_len,
                           const PlanContext& ctx) {
   if (algo == ReduceAlgo::AutoGen) {
-    return ctx.autogen().predict(num_pes, vec_len);
+    return autogen::AutoGenModel(num_pes, ctx.mp).predict(num_pes, vec_len);
   }
   return predict_reduce_1d(algo, num_pes, vec_len, ctx.mp);
 }
@@ -37,9 +40,13 @@ Prediction allreduce_1d_cost(ReduceAlgo algo, u32 num_pes, u32 vec_len,
                     predict_broadcast_1d(num_pes, vec_len, ctx.mp));
 }
 
-/// The DP model pointer to hand to a builder (null for fixed patterns).
-const autogen::AutoGenModel* model_for(ReduceAlgo algo, const PlanContext& ctx) {
-  return algo == ReduceAlgo::AutoGen ? &ctx.autogen() : nullptr;
+/// The Auto-Gen view a builder over rows of up to `extent` PEs needs (null
+/// for fixed patterns, which never touch the DP table). Callers hand
+/// `.get()` to the build call, which the temporary outlives.
+std::unique_ptr<const autogen::AutoGenModel> model_for(
+    bool generated, u32 extent, const PlanContext& ctx) {
+  if (!generated) return nullptr;
+  return std::make_unique<const autogen::AutoGenModel>(extent, ctx.mp);
 }
 
 bool is_row_of(GridShape g, u32 min_pes) {
@@ -124,9 +131,9 @@ void register_1d(AlgorithmRegistry& reg) {
               return reduce_1d_cost(algo, g.width, b, ctx);
             },
         .build =
-            [algo](GridShape g, u32 b, const PlanContext& ctx) {
-              return collectives::make_reduce_1d(algo, g.width, b,
-                                                 model_for(algo, ctx));
+            [algo, generated](GridShape g, u32 b, const PlanContext& ctx) {
+              return collectives::make_reduce_1d(
+                  algo, g.width, b, model_for(generated, g.width, ctx).get());
             },
     };
     if (algo == ReduceAlgo::Star) {
@@ -150,9 +157,9 @@ void register_1d(AlgorithmRegistry& reg) {
               return allreduce_1d_cost(algo, g.width, b, ctx);
             },
         .build =
-            [algo](GridShape g, u32 b, const PlanContext& ctx) {
-              return collectives::make_allreduce_1d(algo, g.width, b,
-                                                    model_for(algo, ctx));
+            [algo, generated](GridShape g, u32 b, const PlanContext& ctx) {
+              return collectives::make_allreduce_1d(
+                  algo, g.width, b, model_for(generated, g.width, ctx).get());
             },
     });
   }
@@ -301,9 +308,10 @@ void register_2d(AlgorithmRegistry& reg) {
                                 reduce_1d_cost(algo, g.height, b, ctx));
             },
         .build =
-            [algo](GridShape g, u32 b, const PlanContext& ctx) {
-              return collectives::make_reduce_2d_xy(algo, g, b,
-                                                    model_for(algo, ctx));
+            [algo, generated](GridShape g, u32 b, const PlanContext& ctx) {
+              return collectives::make_reduce_2d_xy(
+                  algo, g, b,
+                  model_for(generated, std::max(g.width, g.height), ctx).get());
             },
     });
 
@@ -320,9 +328,10 @@ void register_2d(AlgorithmRegistry& reg) {
                                 allreduce_1d_cost(algo, g.height, b, ctx));
             },
         .build =
-            [algo](GridShape g, u32 b, const PlanContext& ctx) {
-              return collectives::make_allreduce_2d_xy(algo, g, b,
-                                                       model_for(algo, ctx));
+            [algo, generated](GridShape g, u32 b, const PlanContext& ctx) {
+              return collectives::make_allreduce_2d_xy(
+                  algo, g, b,
+                  model_for(generated, std::max(g.width, g.height), ctx).get());
             },
     });
   }
@@ -381,11 +390,11 @@ void register_2d(AlgorithmRegistry& reg) {
       .build =
           [](GridShape g, u32 b, const PlanContext& ctx) {
             const auto [ax, ay] = best_mixed_pair(g, b, ctx);
-            const autogen::AutoGenModel* model =
-                (ax == ReduceAlgo::AutoGen || ay == ReduceAlgo::AutoGen)
-                    ? &ctx.autogen()
-                    : nullptr;
-            return collectives::make_reduce_2d_xy_mixed(ax, ay, g, b, model);
+            const bool generated =
+                ax == ReduceAlgo::AutoGen || ay == ReduceAlgo::AutoGen;
+            return collectives::make_reduce_2d_xy_mixed(
+                ax, ay, g, b,
+                model_for(generated, std::max(g.width, g.height), ctx).get());
           },
       .display_label =
           [](GridShape g, u32 b, const PlanContext& ctx) {

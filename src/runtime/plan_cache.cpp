@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "store/plan_store.hpp"
+#include "wse/checks.hpp"
 
 namespace wsr::runtime {
 
@@ -31,6 +32,11 @@ u64 fnv_mix(u64 h, u64 v) {
 }
 
 }  // namespace
+
+bool servable(const Plan& plan, const MachineParams& mp) {
+  return wse::validate(plan.schedule).empty() &&
+         !wse::schedule_crosses_failed_link(plan.schedule, mp.link_overrides);
+}
 
 u64 machine_params_hash(const MachineParams& mp) {
   u64 clock_bits = 0;
@@ -125,16 +131,6 @@ std::shared_ptr<const Plan> PlanCache::insert(
   return it->second.plan;
 }
 
-bool PlanCache::erase(const PlanKey& key) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
-  shard.lru.erase(it->second.lru_pos);
-  shard.map.erase(it);
-  return true;
-}
-
 std::shared_ptr<const Plan> PlanCache::get_or_plan(const Planner& planner,
                                                    const PlanRequest& req,
                                                    PlanSource* source) {
@@ -150,9 +146,13 @@ std::shared_ptr<const Plan> PlanCache::get_or_plan(const Planner& planner,
   for (std::size_t i = 0; i < tiers_.size(); ++i) {
     store::GetResult got = tiers_[i]->get(key);
     // Strict fall-through: Error and Timeout are the tier's problem, not
-    // this request's — anything that is not a Hit walks on to the next
-    // tier and ultimately a fresh plan.
+    // this request's — anything that is not a servable Hit walks on to the
+    // next tier and ultimately a fresh plan.
     if (got.status != store::StoreStatus::Hit) continue;
+    if (!servable(*got.plan, key.machine)) {
+      invalid_plans_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
     const PlanSource tag = tiers_[i]->source_tag();
     if (tag == PlanSource::PeerHit) {
       peer_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -199,6 +199,7 @@ void PlanCache::clear() {
   misses_.store(0, std::memory_order_relaxed);
   disk_hits_.store(0, std::memory_order_relaxed);
   peer_hits_.store(0, std::memory_order_relaxed);
+  invalid_plans_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace wsr::runtime

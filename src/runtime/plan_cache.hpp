@@ -26,8 +26,11 @@
 // store::PlanStore backends (src/store/plan_store.hpp) — in production
 // wiring the local file store (PersistentPlanCache) and optionally a
 // fault-wrapped PeerStore. get_or_plan walks memory -> tiers in order ->
-// plan: the first tier Hit wins, is promoted into the memory tier, and is
-// written back to every earlier tier; a planned miss is put to every tier.
+// plan: the first servable tier Hit wins, is promoted into the memory tier,
+// and is written back to every earlier tier; a planned miss is put to every
+// tier. A tier Hit that fails servable() is a miss (counted in
+// invalid_plans()): stores outlive builds and peers may be misconfigured or
+// corrupt, so no restored record is promoted or copied unchecked.
 // The caller observes which tier answered via the PlanSource out-parameter
 // (the daemon reports it as per-request provenance). Tier durability is
 // best-effort and tier *failures* are invisible: a tier reporting
@@ -60,6 +63,12 @@ enum class PlanSource : u8 {
 };
 
 const char* name(PlanSource s);
+
+/// Flow-level validation of a plan restored from an untrusted tier (disk
+/// file, peer daemon): the schedule passes the structural validator and
+/// does not route across a link `mp` reports failed. A freshly planned
+/// schedule is validated by its builder.
+bool servable(const Plan& plan, const MachineParams& mp);
 
 /// Stable hash of the machine parameterization (used for shard/bucket
 /// placement; key equality compares the full struct, so hash collisions
@@ -123,15 +132,8 @@ class PlanCache {
   std::shared_ptr<const Plan> insert(const PlanKey& key,
                                      std::shared_ptr<const Plan> plan);
 
-  /// Drops a key from the memory tier; true if it was present. Backend
-  /// tiers are untouched (the store API has no delete): a tier-restored
-  /// plan that fails serving-time validation is evicted here so it cannot
-  /// keep answering from memory; if the tier re-promotes the bad record it
-  /// re-fails validation rather than silently serving.
-  bool erase(const PlanKey& key);
-
-  /// The serving path: memory hit, else disk hit (promoted to memory), else
-  /// plan-and-cache (appending to the disk store when one is attached).
+  /// The serving path: memory hit, else servable tier hit (promoted to
+  /// memory), else plan-and-cache (put to every tier).
   /// Safe to call from many threads; a racing miss may plan redundantly,
   /// but all callers receive the single first-inserted plan. When `source`
   /// is non-null it receives the answering tier; under races the reported
@@ -150,6 +152,10 @@ class PlanCache {
   u64 disk_hits() const { return disk_hits_.load(std::memory_order_relaxed); }
   /// Misses of the memory tier answered by a PeerHit-tagged tier.
   u64 peer_hits() const { return peer_hits_.load(std::memory_order_relaxed); }
+  /// Tier hits refused by servable() (and walked past as misses).
+  u64 invalid_plans() const {
+    return invalid_plans_.load(std::memory_order_relaxed);
+  }
   std::size_t max_entries() const { return max_entries_; }
   std::size_t size() const;
   void clear();
@@ -189,6 +195,7 @@ class PlanCache {
   std::atomic<u64> evictions_{0};
   std::atomic<u64> disk_hits_{0};
   std::atomic<u64> peer_hits_{0};
+  std::atomic<u64> invalid_plans_{0};
 };
 
 }  // namespace runtime

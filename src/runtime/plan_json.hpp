@@ -15,6 +15,8 @@
 
 namespace wsr::runtime {
 
+class PlanCache;
+
 /// Serializes the full plan response:
 ///
 ///   {"collective":..., "grid":{...}, "vec_len":..., "bytes_per_pe":...,

@@ -1,8 +1,6 @@
 #include "runtime/planner.hpp"
 
-#include "common/parallel.hpp"
 #include "model/degraded.hpp"
-#include "runtime/plan_cache.hpp"
 
 namespace wsr::runtime {
 
@@ -44,33 +42,12 @@ Planner::Planner(u32 max_pes, MachineParams mp) : max_pes_(max_pes), mp_(mp) {
   WSR_ASSERT(max_pes_ >= 2, "planner needs max_pes >= 2");
 }
 
-Planner Planner::with_link_overrides(
-    std::vector<LinkOverride> link_overrides) const {
-  Planner p = *this;
-  p.mp_.link_overrides = std::move(link_overrides);
-  return p;
+autogen::AutoGenModel Planner::autogen_model() const {
+  return autogen::AutoGenModel(max_pes_, mp_);
 }
 
-const autogen::AutoGenModel& Planner::autogen_model() const {
-  std::lock_guard<std::mutex> lock(tables_->mu);
-  if (!tables_->autogen) {
-    tables_->autogen = std::make_unique<autogen::AutoGenModel>(max_pes_, mp_);
-  }
-  return *tables_->autogen;
-}
-
-const autogen::LowerBound& Planner::lower_bound() const {
-  std::lock_guard<std::mutex> lock(tables_->mu);
-  if (!tables_->lb) {
-    tables_->lb = std::make_unique<autogen::LowerBound>(max_pes_, mp_);
-  }
-  return *tables_->lb;
-}
-
-registry::PlanContext Planner::context() const {
-  return {mp_, [this]() -> const autogen::AutoGenModel& {
-            return autogen_model();
-          }};
+std::shared_ptr<const autogen::LowerBound> Planner::lower_bound() const {
+  return autogen::shared_table<autogen::LowerBound>(max_pes_);
 }
 
 Prediction Planner::predict(const PlanRequest& req) const {
@@ -112,29 +89,9 @@ Plan Planner::plan(const PlanRequest& req) const {
           desc->label(req.grid, req.vec_len, ctx)};
 }
 
-std::vector<std::shared_ptr<const Plan>> Planner::plan_many(
-    std::span<const PlanRequest> requests, PlanCache* cache, u32 num_threads,
-    std::vector<PlanSource>* sources) const {
-  std::vector<std::shared_ptr<const Plan>> out(requests.size());
-  if (sources != nullptr) {
-    sources->assign(requests.size(), PlanSource::Planned);
-  }
-  if (requests.empty()) return out;
-
-  // Slot-per-index writes keep the result deterministic at any thread count
-  // (the shared pool contract, common/parallel.hpp).
-  parallel_for_index(requests.size(), num_threads, [&](std::size_t i) {
-    out[i] = cache != nullptr
-                 ? cache->get_or_plan(
-                       *this, requests[i],
-                       sources != nullptr ? &(*sources)[i] : nullptr)
-                 : std::make_shared<const Plan>(plan(requests[i]));
-  });
-  return out;
-}
-
 double Planner::reduce_1d_lower_bound(u32 num_pes, u32 vec_len) const {
-  return lower_bound().cycles(num_pes, vec_len);
+  return autogen::shared_table<autogen::LowerBound>(num_pes)->cycles(
+      num_pes, vec_len, mp_);
 }
 
 }  // namespace wsr::runtime

@@ -10,13 +10,11 @@
 // auto-selectable descriptor of the family), one named price (`predict()`),
 // and one selection rule over the table (`best_candidate()`); `plan()` is
 // the best row followed by its build, so what a figure or an explanation
-// reads from the table is exactly what the planner selects on. `plan_many()`
-// plans a batch of independent requests on worker threads, optionally backed
-// by a shared PlanCache (runtime/plan_cache.hpp) — the serving-path API.
+// reads from the table is exactly what the planner selects on. The serving
+// path plans through a shared PlanCache (runtime/plan_cache.hpp).
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,8 +33,8 @@ using registry::name;
 
 /// A finished plan: the compiled schedule, the model prediction it was
 /// selected on, and the chosen algorithm's display label. Plans are
-/// immutable once built — every consumer (caches, the daemon, callers of
-/// plan_many) shares them as shared_ptr<const Plan> without copying, and
+/// immutable once built — every consumer (caches, the daemon, batch
+/// callers) shares them as shared_ptr<const Plan> without copying, and
 /// the persistent store serializes them bit-stably (the label rides
 /// along; the *identity* that round-trips the registry is the request's
 /// algorithm name, see persistent_plan_cache.hpp).
@@ -46,7 +44,7 @@ struct Plan {
   std::string algorithm;
 };
 
-/// One planning request, the unit of plan() / plan_many() / PlanCache.
+/// One planning request, the unit of plan() and PlanCache.
 /// Equality is field-wise and is what cache keying builds on (plus the
 /// planner's MachineParams, which live outside the request).
 struct PlanRequest {
@@ -75,50 +73,41 @@ struct Candidate {
 /// table (Planner::candidates) ties go to the smallest name.
 const Candidate* best_candidate(std::span<const Candidate> rows);
 
-class PlanCache;
-enum class PlanSource : u8;
-
 /// The planner: model-driven algorithm selection + schedule compilation
 /// for one machine parameterization.
 ///
-/// Thread-safety: a const Planner is safe to share across threads —
-/// plan()/predict()/candidates() are logically const, and the two lazy
-/// singletons (Auto-Gen model, lower bound) are built once behind an
-/// internal mutex. plan_many relies on exactly this. Copies (and
-/// with_link_overrides planners) share the singletons.
+/// A plain value holding the machine and a size. The Auto-Gen and
+/// lower-bound tables it reads are the process-wide ones
+/// (autogen::shared_table), which never read the machine, so a planner per
+/// request costs a copy of its MachineParams, and a const Planner is safe
+/// to share across threads.
 ///
-/// Determinism: planning is a pure function of (max_pes-independent
-/// request, MachineParams). Selection is best_candidate over the
-/// name-sorted candidate table, so ties always break to the
-/// lexicographically smallest registration name; schedule builders are
-/// deterministic. Two planners with equal MachineParams therefore produce
+/// Determinism: planning is a pure function of (request, MachineParams).
+/// Selection is best_candidate over the name-sorted candidate table, so
+/// ties always break to the lexicographically smallest registration name;
+/// schedule builders are deterministic, and every table size answers
+/// exactly alike. Two planners with equal MachineParams therefore produce
 /// byte-identical plans for the same request — the invariant that makes
 /// plans cacheable across processes (PlanCache keys carry MachineParams but
 /// not max_pes) and lets the wsrd daemon diff bit-exact against the
 /// wsr_plan CLI.
 class Planner {
  public:
-  /// `max_pes` bounds the Auto-Gen DP table (use the largest row/column
-  /// length you will plan for; >= 2 asserted). Tables build lazily on
-  /// first Auto-Gen use — constructing planners is cheap.
+  /// `max_pes` (>= 2, asserted) sizes what autogen_model() and
+  /// lower_bound() return; planning sizes its Auto-Gen views by each
+  /// request's own extent.
   explicit Planner(u32 max_pes, MachineParams mp = {});
-
-  /// This planner with `link_overrides` as the machine's degraded links.
-  /// It shares this planner's Auto-Gen and lower-bound tables, which read
-  /// only the pristine timing (MachineParams::per_depth_cycles): one set of
-  /// tables serves every defect map of a machine, so a front end can make
-  /// one of these per request at the cost of a copy.
-  Planner with_link_overrides(std::vector<LinkOverride> link_overrides) const;
 
   const MachineParams& machine() const { return mp_; }
   u32 max_pes() const { return max_pes_; }
-  const autogen::AutoGenModel& autogen_model() const;
-  const autogen::LowerBound& lower_bound() const;
+  /// This machine's Auto-Gen model over rows of up to max_pes() PEs, a view
+  /// on the process-wide table (the first call for a size fills it).
+  autogen::AutoGenModel autogen_model() const;
+  /// The process-wide lower-bound table covering max_pes().
+  std::shared_ptr<const autogen::LowerBound> lower_bound() const;
 
-  /// The registry context for this planner: its machine parameters plus the
-  /// shared lazily-built Auto-Gen model. The context refers to this
-  /// planner, so the planner must outlive it.
-  registry::PlanContext context() const;
+  /// The registry context for this planner: its machine parameters.
+  registry::PlanContext context() const { return {mp_}; }
 
   // --- the registry-driven core --------------------------------------------
 
@@ -144,37 +133,12 @@ class Planner {
   /// to share, cache, and serialize (runtime/persistent_plan_cache.hpp).
   Plan plan(const PlanRequest& req) const;
 
-  /// Plans a batch of independent requests in parallel with std::thread
-  /// workers. With a `cache`, each request goes through
-  /// PlanCache::get_or_plan, so repeated shapes are planned once and shared.
-  /// `num_threads` = 0 uses the hardware concurrency (capped by the batch
-  /// size). The planner is safe to share across the workers.
-  ///
-  /// `sources`, when non-null, is resized to the batch and slot i receives
-  /// the cache tier that answered request i (PlanSource::Planned for every
-  /// request when no cache is given) — the daemon's per-request provenance.
-  /// Results are deterministic at any thread count (each worker writes only
-  /// its own slots), except that racing identical requests may legitimately
-  /// observe different tiers.
-  std::vector<std::shared_ptr<const Plan>> plan_many(
-      std::span<const PlanRequest> requests, PlanCache* cache = nullptr,
-      u32 num_threads = 0, std::vector<PlanSource>* sources = nullptr) const;
-
   /// T*(P, B): the paper's 1D Reduce lower bound, in cycles.
   double reduce_1d_lower_bound(u32 num_pes, u32 vec_len) const;
 
  private:
-  /// The lazy singletons; `mu` guards them, since plan_many workers share
-  /// the planner.
-  struct Tables {
-    std::mutex mu;
-    std::unique_ptr<autogen::AutoGenModel> autogen;
-    std::unique_ptr<autogen::LowerBound> lb;
-  };
-
   u32 max_pes_;
   MachineParams mp_;
-  std::shared_ptr<Tables> tables_ = std::make_shared<Tables>();
 };
 
 }  // namespace wsr::runtime

@@ -1,28 +1,12 @@
 #include "serving/core.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
+#include "common/parallel.hpp"
 #include "runtime/plan_json.hpp"
 #include "store/record.hpp"
-#include "wse/checks.hpp"
 
 namespace wsr::serving {
-
-namespace {
-
-/// Flow-level validation of a plan restored from an untrusted tier (disk
-/// file, peer daemon): the schedule must pass the structural validator and
-/// must not route across a link the requesting machine reports failed. A
-/// freshly planned schedule is validated by the planner itself; records are
-/// re-checked at serve time because stores outlive builds and peers may be
-/// misconfigured or corrupt.
-bool plan_servable(const runtime::Plan& plan, const MachineParams& mp) {
-  return wse::validate(plan.schedule).empty() &&
-         !wse::schedule_crosses_failed_link(plan.schedule, mp.link_overrides);
-}
-
-}  // namespace
 
 Core::Core(const Options& opts)
     : cache_(16, opts.max_entries),
@@ -50,66 +34,30 @@ Core::Core(const Options& opts)
     for (const store::HotShape& hot : disk_->scan(opts.prefetch)) {
       store::GetResult got = disk_->get(hot.key);
       if (got.status != store::StoreStatus::Hit) continue;
+      if (!runtime::servable(*got.plan, hot.key.machine)) {
+        invalid_plans_.fetch_add(1);
+        continue;
+      }
       cache_.insert(hot.key, std::move(got.plan));
       ++prefetched_;
     }
   }
 }
 
-const runtime::Planner& Core::planner_for(const MachineParams& mp,
-                                          u32 max_dim) {
-  PlannerKey key{mp, std::max<u32>(max_dim, 2)};
-  key.mp.link_overrides.clear();
-  std::lock_guard<std::mutex> lock(planners_mu_);
-  auto& slot = planners_[key];
-  if (!slot) slot = std::make_unique<runtime::Planner>(key.max_dim, key.mp);
-  return *slot;
-}
-
 std::string Core::serve_batch(std::vector<Request>& batch) {
-  // Group the batch's plannable lines by machine: the pristine machine's
-  // planner plus the line's degraded links.
-  using Machine = std::pair<const runtime::Planner*, std::vector<LinkOverride>>;
-  std::map<Machine, std::vector<std::size_t>> groups;
+  std::vector<std::size_t> plannable;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].is_plan()) {
-      const u32 max_dim =
-          std::max(batch[i].req.grid.width, batch[i].req.grid.height);
-      groups[{&planner_for(batch[i].mp, max_dim), batch[i].mp.link_overrides}]
-          .push_back(i);
-    }
+    if (batch[i].is_plan()) plannable.push_back(i);
   }
-
   std::vector<std::shared_ptr<const runtime::Plan>> plans(batch.size());
-  std::vector<runtime::PlanSource> tiers(batch.size(),
-                                         runtime::PlanSource::Planned);
-  for (const auto& [machine, indices] : groups) {
-    // Shares the pristine planner's tables; the overrides reach pricing,
-    // the failed-link check and the cache key.
-    const runtime::Planner planner =
-        machine.first->with_link_overrides(machine.second);
-    std::vector<runtime::PlanRequest> requests;
-    requests.reserve(indices.size());
-    for (std::size_t i : indices) requests.push_back(batch[i].req);
-    std::vector<runtime::PlanSource> sources;
-    const auto group_plans =
-        planner.plan_many(requests, &cache_, jobs_, &sources);
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      const std::size_t i = indices[k];
-      plans[i] = group_plans[k];
-      tiers[i] = sources[k];
-      // Cache/peer-tier restores are re-validated before they serve; a bad
-      // record answers "invalid_plan" in-band and is evicted from memory so
-      // it cannot keep serving (see PlanCache::erase on re-promotion).
-      if ((tiers[i] == runtime::PlanSource::DiskHit ||
-           tiers[i] == runtime::PlanSource::PeerHit) &&
-          !plan_servable(*plans[i], batch[i].mp)) {
-        cache_.erase(runtime::PlanCache::key_for(planner, batch[i].req));
-        invalid_plans_.fetch_add(1);
-        plans[i] = nullptr;
-      }
-    }
-  }
+  std::vector<runtime::PlanSource> tiers(batch.size());
+  parallel_for_index(plannable.size(), jobs_, [&](std::size_t k) {
+    const std::size_t i = plannable[k];
+    // max_pes sizes only autogen_model() and lower_bound(), which serving
+    // never calls; plan() sizes its tables by the request.
+    const runtime::Planner planner(runtime::kMaxGridExtent, batch[i].mp);
+    plans[i] = cache_.get_or_plan(planner, batch[i].req, &tiers[i]);
+  });
 
   std::string out;
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -124,10 +72,6 @@ std::string Core::serve_batch(std::vector<Request>& batch) {
       out += stats_json() + "\n";
     } else if (line.is_cache()) {
       out += serve_cache_op(line, id_field);
-    } else if (plans[i] == nullptr) {
-      // A tier restore that failed serving-time validation (above).
-      request_errors_.fetch_add(1);
-      out += "{" + id_field + "\"error\":\"invalid_plan\"}\n";
     } else {
       std::string extras = id_field;
       extras += "\"cache_tier\":\"";
@@ -196,7 +140,7 @@ std::string Core::serve_cache_op(const Request& line,
     // nothing we could never serve.
     return "{" + id_field + "\"ok\":false}\n";
   }
-  if (!plan_servable(plan, key.machine)) {
+  if (!runtime::servable(plan, key.machine)) {
     // A well-formed record carrying an unservable schedule (fails the
     // structural validator, or routes across a link its own machine key
     // reports failed): refuse at the door instead of poisoning the tiers.
@@ -306,7 +250,8 @@ std::string Core::stats_json() {
   out += ",\"cache_gets\":" + std::to_string(cache_gets_.load());
   out += ",\"cache_get_hits\":" + std::to_string(cache_get_hits_.load());
   out += ",\"cache_puts\":" + std::to_string(cache_puts_.load());
-  out += ",\"invalid_plans\":" + std::to_string(invalid_plans_.load());
+  out += ",\"invalid_plans\":" +
+         std::to_string(cache_.invalid_plans() + invalid_plans_.load());
   out += ",\"tiers\":[";
   if (disk_) out += ledger_json(disk_->kind(), s);
   if (peer_) {

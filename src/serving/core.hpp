@@ -1,19 +1,17 @@
-// The transport-independent half of wsrd: shared caches, per-machine
-// planners, serving metrics, and batch planning.
+// The transport-independent half of wsrd: shared caches, serving metrics,
+// and batch planning.
 //
 // Core::serve_batch turns a vector of parsed Requests into response bytes —
 // it never touches a socket, so the same code serves the blocking --pipe
 // stream and the epoll daemon (which completes the returned bytes
 // asynchronously on writability). Thread-safety: one Core is shared by
 // every connection and dispatcher thread; serve_batch may run concurrently
-// (PlanCache is sharded, the planner table is mutex-guarded, all counters
-// are atomic).
+// (PlanCache is sharded, planners are per-line values, all counters are
+// atomic).
 #pragma once
 
 #include <atomic>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,30 +44,12 @@ struct Metrics {
   i64 start_us = now_us();
 };
 
-/// Planner table key: the pristine machine parameterization (never the
-/// hash — the cache-layer invariant that a hash collision can never
-/// cross-serve machines holds here too) plus the planner's DP bound.
-/// Degraded links are not part of it: the planner's tables never read them,
-/// so serve_batch derives each defect map's planner from the pristine one
-/// (Planner::with_link_overrides) and request input cannot grow the table
-/// beyond the `tr` range times the grid extents.
-struct PlannerKey {
-  MachineParams mp;
-  u32 max_dim = 2;
-
-  bool operator<(const PlannerKey& o) const {
-    return std::tie(mp.ramp_latency, mp.clock_mhz, mp.sram_bytes,
-                    mp.num_colors, max_dim) <
-           std::tie(o.mp.ramp_latency, o.mp.clock_mhz, o.mp.sram_bytes,
-                    o.mp.num_colors, o.max_dim);
-  }
-};
-
-/// Shared serving state: one memory cache, one optional disk store, an
-/// optional fault-wrapped peer tier, and one Planner per (pristine machine,
-/// max-dimension) — the same construction wsr_plan uses per invocation, so
+/// Shared serving state: one memory cache, one optional disk store and an
+/// optional fault-wrapped peer tier. Each line plans through a Planner of
+/// its own machine; a plan depends only on the request and the machine, so
 /// plans (and therefore cache keys and responses) are identical between the
-/// daemon and the one-shot CLI.
+/// daemon and the one-shot CLI. Planners share the process-wide Auto-Gen
+/// tables, so no `tr`, defect map or extent adds one.
 class Core {
  public:
   struct Options {
@@ -94,11 +74,10 @@ class Core {
 
   /// Plans one batch of parsed requests and returns the response bytes in
   /// input order (one '\n'-terminated JSON object per line). The batch's
-  /// plannable lines are grouped per machine (requests may override it via
-  /// "tr" and "link_overrides") and each group goes through
-  /// Planner::plan_many on `jobs` workers. Lines carrying a preset error
-  /// (parse failures, shed "overloaded" markers) are answered without
-  /// planning. Consumes `batch`.
+  /// plannable lines go through PlanCache::get_or_plan on `jobs` workers,
+  /// each for its own machine (requests may override it via "tr" and
+  /// "link_overrides"). Lines carrying a preset error (parse failures, shed
+  /// "overloaded" markers) are answered without planning. Consumes `batch`.
   std::string serve_batch(std::vector<Request>& batch);
 
   /// The stats verb's payload (no trailing newline).
@@ -109,8 +88,6 @@ class Core {
   std::size_t prefetched() const { return prefetched_; }
 
  private:
-  /// The planner of `mp`'s pristine machine (link_overrides ignored).
-  const runtime::Planner& planner_for(const MachineParams& mp, u32 max_dim);
   /// Answers one cache_get / cache_put line (including the serve_cache
   /// gate); returns the full response line with trailing newline.
   std::string serve_cache_op(const Request& line, const std::string& id_field);
@@ -123,16 +100,13 @@ class Core {
   bool serve_cache_ = false;
   std::size_t prefetched_ = 0;  ///< shapes warmed at boot (immutable after)
 
-  std::mutex planners_mu_;
-  std::map<PlannerKey, std::unique_ptr<runtime::Planner>> planners_;
-
   std::atomic<u64> requests_{0};
   std::atomic<u64> request_errors_{0};
   std::atomic<u64> cache_gets_{0};      ///< cache_get lines served
   std::atomic<u64> cache_get_hits_{0};  ///< ... answered with a record
   std::atomic<u64> cache_puts_{0};      ///< cache_put lines served
-  /// Tier-restored or cache_put plans that failed serving-time validation
-  /// (wse::validate, or routing across a link the machine reports failed).
+  /// Prefetched or cache_put plans that failed runtime::servable (tier
+  /// restores are counted by the cache).
   std::atomic<u64> invalid_plans_{0};
   Metrics metrics_;
 };

@@ -1,13 +1,16 @@
 // Tests of the Auto-Gen DP (paper Section 5.5): exactness against explicit
-// tree enumeration, pruning losslessness, reconstruction consistency, and the
-// "generalizes every fixed pattern" property.
+// tree enumeration, pruning losslessness, reconstruction consistency, the
+// "generalizes every fixed pattern" property, and the exactness of the
+// process-wide shared tables.
 #include "autogen/dp.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 
+#include "autogen/lower_bound.hpp"
 #include "autogen/tree.hpp"
 #include "common/math.hpp"
 #include "model/costs1d.hpp"
@@ -106,7 +109,7 @@ u32 discipline_need(const ReduceTree& t, u32 v) {
 
 TEST(AutoGenDP, EnergyMatchesExplicitEnumeration) {
   constexpr u32 kMaxP = 9;
-  const AutoGenModel model(kMaxP, kMp);
+  const EnergyTable table(kMaxP);
   for (u32 p = 2; p <= kMaxP; ++p) {
     const auto trees = all_trees(p);
     for (u32 d = 1; d < p; ++d) {
@@ -118,10 +121,10 @@ TEST(AutoGenDP, EnergyMatchesExplicitEnumeration) {
           }
         }
         if (best == INT64_MAX) {
-          EXPECT_GE(model.energy(p, d, c), kInfEnergy)
+          EXPECT_GE(table.energy(p, d, c), kInfEnergy)
               << "p=" << p << " d=" << d << " c=" << c;
         } else {
-          EXPECT_EQ(model.energy(p, d, c), best)
+          EXPECT_EQ(table.energy(p, d, c), best)
               << "p=" << p << " d=" << d << " c=" << c;
         }
       }
@@ -141,26 +144,30 @@ TEST(AutoGenDP, DisciplineIsAtMostOneLooserThanMaxFanout) {
 }
 
 TEST(AutoGenDP, EnergyMonotoneInBudgets) {
-  const AutoGenModel model(64, kMp);
+  const EnergyTable table(64);
   for (u32 p = 2; p <= 64; p += 7) {
     for (u32 d = 1; d + 1 < p; ++d) {
       for (u32 c = 1; c + 1 < p; ++c) {
-        EXPECT_LE(model.energy(p, d + 1, c), model.energy(p, d, c));
-        EXPECT_LE(model.energy(p, d, c + 1), model.energy(p, d, c));
+        EXPECT_LE(table.energy(p, d + 1, c), table.energy(p, d, c));
+        EXPECT_LE(table.energy(p, d, c + 1), table.energy(p, d, c));
       }
     }
   }
 }
 
 TEST(AutoGenDP, ChainAndStarAreExtremePoints) {
-  const AutoGenModel model(48, kMp);
+  const EnergyTable table(48);
   for (u32 p : {2u, 7u, 16u, 48u}) {
     // Fanout 1 forces the chain: energy p-1, needs depth p-1.
-    EXPECT_EQ(model.energy(p, p - 1, 1), i64{p} - 1);
-    if (p > 2) EXPECT_GE(model.energy(p, p - 2, 1), kInfEnergy);
+    EXPECT_EQ(table.energy(p, p - 1, 1), i64{p} - 1);
+    if (p > 2) {
+      EXPECT_GE(table.energy(p, p - 2, 1), kInfEnergy);
+    }
     // Depth 1 forces the star: energy p(p-1)/2, needs fanout p-1.
-    EXPECT_EQ(model.energy(p, 1, p - 1), i64{p} * (p - 1) / 2);
-    if (p > 2) EXPECT_GE(model.energy(p, 1, p - 2), kInfEnergy);
+    EXPECT_EQ(table.energy(p, 1, p - 1), i64{p} * (p - 1) / 2);
+    if (p > 2) {
+      EXPECT_GE(table.energy(p, 1, p - 2), kInfEnergy);
+    }
   }
 }
 
@@ -169,7 +176,7 @@ TEST(AutoGenDP, PruningIsLosslessUpTo96) {
   exact.c_small = 95;  // everything exact
   exact.c_cap = 95;
   exact.d_cap = 95;
-  const AutoGenModel full(96, kMp, exact);
+  const AutoGenModel full(std::make_shared<const EnergyTable>(96, exact), kMp);
   const AutoGenModel pruned(96, kMp);  // default limits
   for (u32 p = 2; p <= 96; ++p) {
     for (u32 b : {1u, 4u, 16u, 64u, 256u, 1024u, 4096u, 8192u}) {
@@ -214,16 +221,16 @@ TEST(AutoGenTree, ReconstructionMatchesChoice) {
 }
 
 TEST(AutoGenTree, BudgetedReconstructionIsFeasible) {
-  const AutoGenModel model(64, kMp);
+  const EnergyTable table(64);
   for (u32 p : {5u, 17u, 64u}) {
     for (u32 d : {2u, 4u, 16u}) {
       for (u32 c : {1u, 2u, 5u}) {
-        if (model.energy(p, d, c) >= kInfEnergy) continue;
-        const ReduceTree t = model.build_tree_for_budget(p, d, c);
+        if (table.energy(p, d, c) >= kInfEnergy) continue;
+        const ReduceTree t = table.build_tree_for_budget(p, d, c);
         EXPECT_TRUE(t.is_valid_preorder());
         EXPECT_LE(t.depth(), d);
         EXPECT_LE(t.max_fanout(), c);
-        EXPECT_EQ(t.energy(), model.energy(p, d, c));
+        EXPECT_EQ(t.energy(), table.energy(p, d, c));
       }
     }
   }
@@ -238,6 +245,46 @@ TEST(AutoGenDP, TrivialSizes) {
   EXPECT_EQ(choice.depth, 1u);
   EXPECT_EQ(choice.fanout, 1u);
   EXPECT_EQ(choice.energy, 1);
+}
+
+// The shared tables never read the machine and are prefix-closed in P: once
+// a 512-PE view exists, a view of n PEs reads the 512-PE table and answers
+// exactly like a model over a private n-PE table, at every T_R. The same
+// holds for the lower bound.
+TEST(SharedTables, ViewsAnswerLikePrivateTables) {
+  const AutoGenModel big(512, kMp);
+  const std::shared_ptr<const LowerBound> shared_lb =
+      shared_table<LowerBound>(512);
+  ASSERT_GE(big.max_pes(), 512u);
+  ASSERT_GE(shared_lb->max_pes(), 512u);
+  for (u32 n : {2u, 3u, 17u, 96u, 129u, 300u}) {
+    const auto own = std::make_shared<const EnergyTable>(n);
+    const LowerBound own_lb(n);
+    for (u32 tr : {0u, 2u, 5u}) {
+      MachineParams mp;
+      mp.ramp_latency = tr;
+      const AutoGenModel shared(n, mp), priv(own, mp);
+      EXPECT_EQ(&shared.table(), &big.table());
+      for (u32 p = 1; p <= n; ++p) {
+        for (u32 b : {1u, 64u, 4096u}) {
+          const auto got = shared.best_choice(p, b);
+          const auto want = priv.best_choice(p, b);
+          EXPECT_EQ(got.depth, want.depth) << "n=" << n << " p=" << p;
+          EXPECT_EQ(got.fanout, want.fanout) << "n=" << n << " p=" << p;
+          EXPECT_EQ(got.energy, want.energy) << "n=" << n << " p=" << p;
+          EXPECT_EQ(got.cycles, want.cycles) << "n=" << n << " p=" << p;
+          EXPECT_EQ(shared.build_tree(p, b).children,
+                    priv.build_tree(p, b).children)
+              << "n=" << n << " p=" << p << " B=" << b << " T_R=" << tr;
+          EXPECT_EQ(shared_lb->cycles(p, b, mp), own_lb.cycles(p, b, mp));
+          if (p >= 2) {
+            EXPECT_EQ(shared_lb->best_depth(p, b, mp),
+                      own_lb.best_depth(p, b, mp));
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for common/parallel.hpp's parallel_for_index, the primitive
-// behind Planner::plan_many and the bench sweep engine. The suite is
+// behind serving::Core::serve_batch and the bench sweep engine. The suite is
 // intentionally thread-heavy — CI runs it under TSan, together with the
 // sweep-determinism and plan-cache suites that drive it from real callers.
 #include "common/parallel.hpp"

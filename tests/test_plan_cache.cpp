@@ -1,11 +1,17 @@
-// Tests of the PlanCache and the Planner::plan_many batch API: keying,
-// hit/miss accounting, cross-thread consistency under contention.
+// Tests of the PlanCache: keying, hit/miss accounting, batches planned on
+// worker threads, cross-thread consistency under contention, and planning
+// while the process-wide Auto-Gen tables grow.
 #include "runtime/plan_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <sstream>
 #include <thread>
 
+#include "common/parallel.hpp"
+#include "runtime/plan_json.hpp"
 #include "sim_test_utils.hpp"
 
 namespace wsr::runtime {
@@ -13,6 +19,20 @@ namespace {
 
 PlanRequest reduce_req(u32 p, u32 b) {
   return {Collective::Reduce, {p, 1}, b, ""};
+}
+
+/// Plans `reqs` on `jobs` workers the way a batch caller does: through
+/// `cache` when given, else straight from the shared planner.
+std::vector<std::shared_ptr<const Plan>> plan_batch(
+    const Planner& planner, const std::vector<PlanRequest>& reqs,
+    PlanCache* cache, u32 jobs) {
+  std::vector<std::shared_ptr<const Plan>> out(reqs.size());
+  parallel_for_index(reqs.size(), jobs, [&](std::size_t i) {
+    out[i] = cache != nullptr
+                 ? cache->get_or_plan(planner, reqs[i])
+                 : std::make_shared<const Plan>(planner.plan(reqs[i]));
+  });
+  return out;
 }
 
 TEST(PlanCache, HitReturnsTheIdenticalPlan) {
@@ -185,7 +205,7 @@ TEST(PlanCacheEviction, BoundedCacheSurvivesThreadChurn) {
   EXPECT_EQ(cache.hits() + cache.misses(), u64{4} * 32);
 }
 
-TEST(PlanMany, MatchesSequentialPlanningAndSharesCacheEntries) {
+TEST(PlanCacheBatch, MatchesSequentialPlanningAndSharesCacheEntries) {
   const Planner planner(32);
   std::vector<PlanRequest> reqs;
   for (u32 i = 0; i < 24; ++i) {
@@ -194,8 +214,8 @@ TEST(PlanMany, MatchesSequentialPlanningAndSharesCacheEntries) {
   }
 
   PlanCache cache;
-  const auto with_cache = planner.plan_many(reqs, &cache, 8);
-  const auto without_cache = planner.plan_many(reqs, nullptr, 4);
+  const auto with_cache = plan_batch(planner, reqs, &cache, 8);
+  const auto without_cache = plan_batch(planner, reqs, nullptr, 4);
   ASSERT_EQ(with_cache.size(), reqs.size());
   ASSERT_EQ(without_cache.size(), reqs.size());
 
@@ -219,7 +239,7 @@ TEST(PlanMany, MatchesSequentialPlanningAndSharesCacheEntries) {
   }
 }
 
-TEST(PlanMany, PlannedSchedulesExecuteCorrectly) {
+TEST(PlanCacheBatch, PlannedSchedulesExecuteCorrectly) {
   const Planner planner(16);
   const std::vector<PlanRequest> reqs = {
       reduce_req(8, 32),
@@ -228,10 +248,57 @@ TEST(PlanMany, PlannedSchedulesExecuteCorrectly) {
       PlanRequest{Collective::Broadcast, {8, 1}, 16, ""},
   };
   PlanCache cache;
-  const auto plans = planner.plan_many(reqs, &cache, 4);
+  const auto plans = plan_batch(planner, reqs, &cache, 4);
   for (std::size_t i = 0; i < plans.size(); ++i) {
     testing::verify_ok(plans[i]->schedule,
                        reqs[i].collective == Collective::Broadcast);
+  }
+}
+
+// Views and planners share the process-wide tables, which grow while other
+// threads read them: 8 threads build views of shuffled sizes 2-512 at mixed
+// T_R and plan on them, and every answer equals a serial run's.
+TEST(SharedTables, ConcurrentViewsAndPlansMatchASerialRun) {
+  std::vector<std::pair<u32, u32>> work;  // (PEs, T_R)
+  for (u32 n : {2u, 3u, 7u, 16u, 33u, 64u, 100u, 128u, 200u, 256u, 300u, 512u}) {
+    for (u32 tr : {0u, 2u, 5u}) work.emplace_back(n, tr);
+  }
+  const auto answer = [](u32 n, u32 tr) {
+    MachineParams mp;
+    mp.ramp_latency = tr;
+    const autogen::AutoGenModel view(n, mp);
+    const auto choice = view.best_choice(n, 256);
+    const Planner planner(n, mp);
+    const PlanRequest req = reduce_req(n, 64);
+    std::ostringstream out;
+    out << choice.depth << ' ' << choice.fanout << ' ' << choice.energy << ' '
+        << choice.cycles << ' ' << planner.reduce_1d_lower_bound(n, 64) << ' '
+        << plan_response_json(req, planner.plan(req), mp);
+    return out.str();
+  };
+
+  constexpr u32 kThreads = 8;
+  std::vector<std::vector<std::string>> seen(
+      kThreads, std::vector<std::string>(work.size()));
+  std::vector<std::thread> threads;
+  for (u32 t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::size_t> order(work.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::shuffle(order.begin(), order.end(), std::mt19937(t));
+      for (std::size_t i : order) {
+        seen[t][i] = answer(work[i].first, work[i].second);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    const std::string serial = answer(work[i].first, work[i].second);
+    for (u32 t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][i], serial)
+          << "P=" << work[i].first << " T_R=" << work[i].second;
+    }
   }
 }
 

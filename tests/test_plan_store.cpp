@@ -71,6 +71,19 @@ std::shared_ptr<const Plan> plan_of(const PlanRequest& req) {
   return std::make_shared<const Plan>(test_planner().plan(req));
 }
 
+/// The plan of `req` with its first routing rule's count zeroed: the record
+/// decodes fine but fails wse::validate ("every rule has count > 0").
+std::shared_ptr<const Plan> poisoned_plan_of(const PlanRequest& req) {
+  auto bad = std::make_shared<Plan>(*plan_of(req));
+  for (auto& pe_rules : bad->schedule.rules) {
+    if (!pe_rules.empty()) {
+      pe_rules[0].count = 0;
+      break;
+    }
+  }
+  return bad;
+}
+
 // --- codec -------------------------------------------------------------------
 
 TEST(Base64, RoundTripsArbitraryBytes) {
@@ -634,6 +647,52 @@ TEST(PlanCacheTiers, TierHitPromotesAndWritesBack) {
   EXPECT_EQ(source, PlanSource::MemoryHit);
 }
 
+// A tier hit that fails runtime::servable is a miss: it is neither promoted
+// nor written back to the nearer tier, which receives the fresh plan.
+TEST(PlanCacheTiers, InvalidHitIsAMissAndIsNotWrittenBack) {
+  const PlanRequest req = reduce_req(8, 16);
+  const PlanKey key = key_of(req);
+
+  MemoryStore near_tier, far_tier;
+  far_tier.put(key, poisoned_plan_of(req));
+  PlanCache cache;
+  cache.attach_tier(&near_tier);
+  cache.attach_tier(&far_tier);
+
+  PlanSource source = PlanSource::MemoryHit;
+  const auto plan = cache.get_or_plan(test_planner(), req, &source);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(source, PlanSource::Planned);
+  EXPECT_TRUE(runtime::servable(*plan, key.machine));
+  EXPECT_EQ(cache.invalid_plans(), 1u);
+  EXPECT_EQ(cache.disk_hits(), 0u);
+  const GetResult near = near_tier.get(key);
+  ASSERT_EQ(near.status, StoreStatus::Hit);
+  EXPECT_EQ(near.plan.get(), plan.get());
+}
+
+// wsr_plan --cache-dir's path: get_or_plan over a file store holding a
+// poisoned record under the request's key plans fresh.
+TEST(PlanCacheTiers, PoisonedFileRecordPlansFresh) {
+  TempDir dir;
+  const PlanRequest req = reduce_req(8, 16);
+  {
+    runtime::PersistentPlanCache file(dir.str());
+    file.put(key_of(req), poisoned_plan_of(req));
+  }
+  runtime::PersistentPlanCache file(dir.str());
+  PlanCache cache;
+  cache.attach_disk_store(&file);
+
+  PlanSource source = PlanSource::MemoryHit;
+  const auto plan = cache.get_or_plan(test_planner(), req, &source);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(source, PlanSource::Planned);
+  EXPECT_TRUE(runtime::servable(*plan, key_of(req).machine));
+  EXPECT_EQ(cache.disk_hits(), 0u);
+  EXPECT_EQ(cache.invalid_plans(), 1u);
+}
+
 TEST(PlanCacheTiers, TierFailureFallsThroughToPlanning) {
   const PlanRequest req = reduce_req(8, 16);
   MemoryStore mem;
@@ -741,18 +800,8 @@ TEST(ServingCacheVerbs, PutRefusesAnInvalidSchedule) {
   // Structurally valid records carrying unservable schedules.
   const PlanRequest req = reduce_req(8, 16);
   const PlanKey key = key_of(req);
-  // Zero the first routing rule's count (validate: "every rule has
-  // count > 0").
-  Plan zero_count = *plan_of(req);
-  bool corrupted = false;
-  for (auto& pe_rules : zero_count.schedule.rules) {
-    if (!pe_rules.empty()) {
-      pe_rules[0].count = 0;
-      corrupted = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(corrupted);
+  Plan zero_count = *poisoned_plan_of(req);
+  ASSERT_FALSE(runtime::servable(zero_count, key.machine));
   // Shift every color past the machine's 24 ids: the same transfers on as
   // many colors, so only the ids are wrong.
   Plan recolored = *plan_of(req);
@@ -788,25 +837,46 @@ TEST(ServingCacheVerbs, DiskRestoreIsRevalidatedBeforeServing) {
     // Seed the persistent tier with a poisoned record under the exact key
     // a plan request resolves to: decodes fine, fails flow-level checks.
     runtime::PersistentPlanCache file(dir.str());
-    auto bad = std::make_shared<Plan>(*plan_of(req));
-    for (auto& pe_rules : bad->schedule.rules) {
-      if (!pe_rules.empty()) {
-        pe_rules[0].count = 0;
-        break;
-      }
-    }
-    file.put(key_of(req), bad);
+    file.put(key_of(req), poisoned_plan_of(req));
   }
   serving::Core::Options opts;
   opts.cache_dir = dir.str();
   serving::Core core(opts);
 
-  // The disk hit is refused in-band instead of serving a broken plan.
+  // The disk hit is refused in the tier walk: the first request plans
+  // fresh and the fresh plan answers the next one from memory.
   const std::string plan_line =
       "{\"collective\":\"reduce\",\"grid\":\"8\",\"bytes\":64}";
-  EXPECT_EQ(serve_one(core, plan_line), "{\"error\":\"invalid_plan\"}\n");
+  EXPECT_NE(serve_one(core, plan_line).find("\"cache_tier\":\"planned\""),
+            std::string::npos);
+  EXPECT_NE(serve_one(core, plan_line).find("\"cache_tier\":\"memory\""),
+            std::string::npos);
   EXPECT_NE(serve_one(core, "{\"verb\":\"stats\"}")
                 .find("\"invalid_plans\":1"),
+            std::string::npos);
+}
+
+TEST(ServingCacheVerbs, PrefetchRefusesAnInvalidRecord) {
+  TempDir dir;
+  const PlanRequest req = reduce_req(8, 16);
+  {
+    runtime::PersistentPlanCache file(dir.str());
+    file.put(key_of(req), poisoned_plan_of(req));
+  }
+  serving::Core::Options opts;
+  opts.cache_dir = dir.str();
+  opts.prefetch = 1;
+  serving::Core core(opts);
+  EXPECT_EQ(core.prefetched(), 0u);
+
+  // Not promoted at boot, so not a memory hit: the tier walk refuses the
+  // record again and the request plans fresh.
+  const std::string plan_line =
+      "{\"collective\":\"reduce\",\"grid\":\"8\",\"bytes\":64}";
+  EXPECT_NE(serve_one(core, plan_line).find("\"cache_tier\":\"planned\""),
+            std::string::npos);
+  EXPECT_NE(serve_one(core, "{\"verb\":\"stats\"}")
+                .find("\"invalid_plans\":2"),
             std::string::npos);
 }
 

@@ -124,9 +124,9 @@ TEST_F(PlannerFixture, PredictionsConsistentWithPlans) {
 // machines alike.
 TEST(PlannerTable, PlanPicksTheBestCandidate) {
   const Planner pristine(64);
-  const Planner degraded =
-      pristine.with_link_overrides({*parse_link_override("1,0,E,4"),
-                                    *parse_link_override("0,1,S,3")});
+  const Planner degraded(
+      64, MachineParams{.link_overrides = {*parse_link_override("1,0,E,4"),
+                                           *parse_link_override("0,1,S,3")}});
   const Collective families[] = {Collective::Broadcast, Collective::Reduce,
                                  Collective::AllReduce, Collective::AllGather,
                                  Collective::ReduceScatter};
@@ -159,25 +159,25 @@ TEST(PlannerTable, PlanPicksTheBestCandidate) {
                 .prediction.cycles);
 }
 
-// A degraded machine's planner reuses its pristine planner's tables and
-// plans exactly like a planner built for the degraded machine from scratch.
-TEST(PlannerTables, LinkOverridesShareTheTables) {
+// Planners are plain values over the process-wide tables: the pristine
+// machine, another T_R and a throttled link all read the same Auto-Gen and
+// lower-bound tables, while pricing stays per machine.
+TEST(PlannerTables, EveryMachineReadsTheSameTables) {
   const Planner pristine(128);
-  MachineParams degraded;
-  degraded.link_overrides = {*parse_link_override("5,0,W,3")};
-  const Planner derived = pristine.with_link_overrides(degraded.link_overrides);
-  EXPECT_EQ(&derived.autogen_model(), &pristine.autogen_model());
-  EXPECT_EQ(&derived.lower_bound(), &pristine.lower_bound());
-  EXPECT_EQ(derived.machine().link_overrides, degraded.link_overrides);
-
-  const Planner fresh(128, degraded);
-  const PlanRequest req{Collective::Reduce, {128, 1}, 256, ""};
-  const Plan a = derived.plan(req), b = fresh.plan(req);
-  EXPECT_EQ(a.algorithm, b.algorithm);
-  EXPECT_EQ(a.prediction.cycles, b.prediction.cycles);
-  EXPECT_EQ(a.schedule.programs.size(), b.schedule.programs.size());
+  MachineParams slow;
+  slow.ramp_latency = 7;
+  const Planner slow_ramp(128, slow);
+  const Planner throttled(
+      128, MachineParams{.link_overrides = {*parse_link_override("5,0,W,3")}});
+  for (const Planner* planner : {&slow_ramp, &throttled}) {
+    EXPECT_EQ(&planner->autogen_model().table(),
+              &pristine.autogen_model().table());
+    EXPECT_EQ(planner->lower_bound().get(), pristine.lower_bound().get());
+  }
   // Anti-vacuity: the throttled link is on the Reduce's path.
-  EXPECT_NE(a.prediction.cycles, pristine.plan(req).prediction.cycles);
+  const PlanRequest req{Collective::Reduce, {128, 1}, 256, ""};
+  EXPECT_NE(throttled.plan(req).prediction.cycles,
+            pristine.plan(req).prediction.cycles);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 //   --cache-dir=DIR      persistent plan store shared with `wsr_plan
 //                        --cache-dir` and other daemons (disk tier)
 //   --max-entries=N      bound the in-memory plan cache (LRU; 0 = unbounded)
-//   --jobs=N             plan_many worker threads per batch (0 = hardware)
+//   --jobs=N             planning worker threads per batch (0 = hardware)
 //
 // cache peering options (docs/serving.md "Cache peering"):
 //   --peer=TARGET        consult another wsrd on local misses: "unix:PATH",

@@ -20,12 +20,18 @@ ctest and by the CI docs job):
    FlowSim on a grid too large for it) is within 1% of the prediction.
 5. `wsr_plan` exits 2 on a malformed or out-of-range --tr and on a grid
    past the extent bound, instead of planning or aborting.
+6. wsrd's memory does not grow with the machines it plans for: 16
+   `reduce 512` lines that differ only in "tr" peak within one 512-PE
+   Auto-Gen table of 16 lines that differ only in "bytes" (peak RSS of the
+   child, read with os.wait4), so neither per-machine tables nor duplicate
+   concurrent fills come back.
 
 Stdlib only (no pip installs); exits non-zero with a diagnostic on the
 first violation.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -66,6 +72,32 @@ def run_daemon(wsrd, lines, cache_dir=None):
         fail(f"expected {len(lines)} responses, got {len(responses)}",
              proc.stdout)
     return responses
+
+
+def peak_rss_mb(argv, lines):
+    """Pipes `lines` (JSON objects) through `argv`, a wsrd --pipe command;
+    returns the child's peak RSS in MB."""
+    payload = "".join(json.dumps(line) + "\n" for line in lines).encode()
+    with tempfile.TemporaryFile() as errors:
+        proc = subprocess.Popen(argv, stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, stderr=errors)
+        proc.stdin.write(payload)
+        proc.stdin.close()
+        answers = proc.stdout.read().decode().splitlines()
+        # Reap the child here rather than through Popen, to read its rusage.
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            errors.seek(0)
+            fail(f"wsrd exited with {proc.returncode}", errors.read()[-800:])
+    if len(answers) != len(lines) or any("error" in json.loads(a)
+                                         for a in answers):
+        fail("wsrd must plan every line", answers[:2])
+    return usage.ru_maxrss / 1024  # ru_maxrss is in KB on Linux
+
+
+# One 512-PE Auto-Gen table (EnergyTable), in MB.
+TABLE_512_MB = 29
 
 
 def run_cli(wsr_plan, request):
@@ -278,6 +310,21 @@ def main():
                      proc.stderr)
         print(f"ok: wsr_plan exits 2 on {len(BAD_CLI_CASES)} malformed or "
               f"out-of-range --tr / grid / bytes arguments")
+
+        # --- 8. one Auto-Gen table serves every machine --------------------
+        argv = [wsrd, "--pipe", "--jobs=4"]
+        by_tr = [{"collective": "reduce", "grid": "512", "bytes": 1024,
+                  "tr": k, "id": k} for k in range(16)]
+        by_bytes = [{"collective": "reduce", "grid": "512",
+                     "bytes": 1024 * (k + 1), "id": k} for k in range(16)]
+        tr_mb = peak_rss_mb(argv, by_tr)
+        bytes_mb = peak_rss_mb(argv, by_bytes)
+        if tr_mb > bytes_mb + TABLE_512_MB:
+            fail(f"16 machines peaked at {tr_mb:.0f} MB, more than one "
+                 f"512-PE table ({TABLE_512_MB} MB) over one machine's "
+                 f"{bytes_mb:.0f} MB")
+        print(f"ok: 16 values of tr peak at {tr_mb:.0f} MB, 16 vector "
+              f"lengths at {bytes_mb:.0f} MB")
         return 0
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
