@@ -9,6 +9,7 @@
 #include <cstring>
 #include <malloc.h>
 
+#include "common/minijson.hpp"
 #include "common/parallel.hpp"
 #include "wse/fabric.hpp"
 
@@ -24,30 +25,8 @@ i64 now_ns() {
 
 // --- minimal JSON emission ---------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string json_str(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  return "\"" + json::escape(s) + "\"";
 }
 
 std::string json_num(double v) {

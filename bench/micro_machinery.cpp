@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the library machinery itself: the
 // Auto-Gen DP table fill (the paper's O(P^4)-with-pruning claim), the
-// lower-bound DP (O(P^3)), schedule compilation, and the throughput of both
-// simulators — including the FullScan-vs-Simd FabricSim cells and an
-// allocation-counting harness over the simulator hot loops.
+// lower-bound DP (O(P^3)), schedule compilation, the plan JSON writers, and
+// the throughput of both simulators — including the FullScan-vs-Simd
+// FabricSim cells and an allocation-counting harness over the simulator hot
+// loops.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -14,7 +15,10 @@
 #include "collectives/collectives.hpp"
 #include "flowsim/flowsim.hpp"
 #include "harness.hpp"
+#include "runtime/plan_json.hpp"
+#include "runtime/planner.hpp"
 #include "runtime/verify.hpp"
+#include "wse/export.hpp"
 #include "wse/fabric.hpp"
 
 using namespace wsr;
@@ -92,6 +96,51 @@ static void BM_ScheduleCompile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduleCompile);
+
+// The plan JSON writers, in bytes written per second: a wafer-scale
+// schedule (512x512 Snake+Bcast, about 100 MB of JSON), the 128x128 X-Y
+// AllReduce the planner selects at 16 KiB per PE (about 12 MB), and the
+// full plan response around that schedule.
+static void BM_ScheduleToJsonCell(benchmark::State& state,
+                                  const wse::Schedule& s) {
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string json = wse::to_json(s);
+    bytes = json.size();
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * bytes));
+}
+
+static void BM_ScheduleToJsonSnakeBcast(benchmark::State& state) {
+  BM_ScheduleToJsonCell(
+      state, collectives::make_allreduce_2d_snake_bcast({512, 512}, 64));
+}
+BENCHMARK(BM_ScheduleToJsonSnakeBcast)->Unit(benchmark::kMillisecond);
+
+const runtime::PlanRequest kXyAllReduce{runtime::Collective::AllReduce,
+                                        {128, 128}, 4096, ""};
+
+static void BM_ScheduleToJsonXyAllReduce(benchmark::State& state) {
+  const runtime::Planner planner(128);
+  BM_ScheduleToJsonCell(state, planner.plan(kXyAllReduce).schedule);
+}
+BENCHMARK(BM_ScheduleToJsonXyAllReduce)->Unit(benchmark::kMillisecond);
+
+static void BM_PlanResponseJson(benchmark::State& state) {
+  const runtime::Planner planner(128);
+  const runtime::Plan plan = planner.plan(kXyAllReduce);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string json = runtime::plan_response_json(
+        kXyAllReduce, plan, planner.machine(), "\"id\":1,");
+    bytes = json.size();
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * bytes));
+  state.SetLabel(plan.algorithm);
+}
+BENCHMARK(BM_PlanResponseJson)->Unit(benchmark::kMillisecond);
 
 static void BM_FabricSimChain(benchmark::State& state) {
   const u32 p = static_cast<u32>(state.range(0));

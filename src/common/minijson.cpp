@@ -1,6 +1,7 @@
 #include "common/minijson.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace wsr::json {
@@ -249,6 +250,29 @@ std::optional<Value> parse(std::string_view text, std::string* error) {
     return std::nullopt;
   }
   return v;
+}
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace wsr::json

@@ -1,4 +1,5 @@
-// A minimal JSON reader for the serving layer.
+// A minimal JSON reader for the serving layer, and the two text helpers its
+// writers share.
 //
 // wsrd's request protocol is newline-delimited JSON objects (docs/serving.md),
 // and the container ships no JSON library, so this is a small dependency-free
@@ -6,11 +7,16 @@
 // booleans and null. It parses into an owned `Value` tree; it does not aim to
 // be fast or incremental — requests are a few hundred bytes.
 //
-// Emission stays where it always was: responses are assembled as strings by
-// runtime/plan_json.cpp (and wse/export.cpp for schedules); this header is
-// parse-only.
+// Emission stays with its writers: responses are appended as text by
+// runtime/plan_json.cpp (and wse/export.cpp for schedules). The two helpers
+// they share live here: `append_int`, and `escape`, the only JSON string
+// escaper, through which every string that did not come from this
+// process's own code (record text, echoed request fields, error details)
+// is written.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -58,5 +64,20 @@ struct Value {
 /// byte offset. Nesting is capped (64 levels) so hostile input cannot
 /// overflow the stack.
 std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
+
+/// `s` as a JSON string body (without the quotes): `"` and `\` are
+/// backslash-escaped, newline, carriage return and tab take their short
+/// forms, and every other byte below 0x20 becomes \u00XX. Other bytes pass
+/// through, so the result never holds a raw control byte or an unescaped
+/// quote and cannot break an NDJSON line.
+std::string escape(std::string_view s);
+
+/// Appends the decimal text of `v` to `out`: std::to_chars, with no
+/// stream, locale or temporary string.
+template <std::integral T>
+void append_int(std::string& out, T v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
 }  // namespace wsr::json

@@ -45,6 +45,26 @@ bool write_all(int fd, const std::string& data) {
   return write_all(fd, data, &err);
 }
 
+/// The bytes of the file open on `fd`: one buffer sized by fstat, filled
+/// by pread (retried on short reads; a file that shrank meanwhile yields
+/// the prefix that is left). nullopt when the file cannot be read.
+std::optional<std::string> read_file(int fd) {
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) return std::nullopt;
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t got = ::pread(fd, bytes.data() + off, bytes.size() - off,
+                                static_cast<off_t>(off));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) return std::nullopt;
+    if (got == 0) break;
+    off += static_cast<std::size_t>(got);
+  }
+  bytes.resize(off);
+  return bytes;
+}
+
 /// A write failure the store cannot recover from by retrying the next
 /// append: the filesystem is full, broken, or read-only. These flip the
 /// store into memory-only operation.
@@ -72,12 +92,9 @@ std::string PersistentPlanCache::store_path() const {
 void PersistentPlanCache::load() {
   const auto start = std::chrono::steady_clock::now();
   std::string bytes;
-  {
-    std::ifstream in(store_path(), std::ios::binary);
-    if (in) {
-      bytes.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-    }
+  if (const int fd = ::open(store_path().c_str(), O_RDONLY); fd >= 0) {
+    bytes = read_file(fd).value_or(std::string());
+    ::close(fd);
   }
   load_.file_bytes = bytes.size();
 
@@ -331,25 +348,12 @@ std::optional<u64> PersistentPlanCache::compact_store() {
   const int fd = open_store_locked(store_path(), O_RDWR | O_CREAT);
   if (fd < 0) return std::nullopt;
 
-  std::string bytes;
-  {
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    bytes.resize(static_cast<std::size_t>(st.st_size));
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t got = ::pread(fd, bytes.data() + off, bytes.size() - off,
-                                  static_cast<off_t>(off));
-      if (got <= 0) {
-        ::close(fd);
-        return std::nullopt;
-      }
-      off += static_cast<std::size_t>(got);
-    }
+  const std::optional<std::string> read = read_file(fd);
+  if (!read.has_value()) {
+    ::close(fd);
+    return std::nullopt;
   }
+  const std::string& bytes = *read;
 
   const std::string expected_header = store::header_bytes();
   if (bytes.size() < kHeaderSize ||

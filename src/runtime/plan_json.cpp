@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/minijson.hpp"
 #include "registry/algorithm_registry.hpp"
 #include "runtime/plan_cache.hpp"
 #include "store/plan_store.hpp"
@@ -25,37 +26,36 @@ std::optional<u64> parse_digits(const std::string& text, u64 max) {
   return v;
 }
 
-std::string fmt(const char* format, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, format, v);
-  return buf;
-}
-
 }  // namespace
 
-std::string plan_response_json(const PlanRequest& req, const Plan& plan,
-                               const MachineParams& mp,
-                               const std::string& extra_fields) {
-  const u64 bytes = u64{req.vec_len} * 4;
+void append_plan_response_json(std::string& out, const PlanRequest& req,
+                               const Plan& plan, const MachineParams& mp,
+                               std::string_view extra_fields) {
   const registry::AlgorithmDescriptor* desc =
       registry::AlgorithmRegistry::instance().find(
           req.collective, registry::dims_for(req.grid),
           req.algorithm.empty() ? plan.algorithm : req.algorithm);
 
-  std::string out = "{\"collective\":\"";
+  out += "{\"collective\":\"";
   out += registry::name(req.collective);
-  out += "\",\"grid\":{\"width\":" + std::to_string(req.grid.width) +
-         ",\"height\":" + std::to_string(req.grid.height) + "}";
-  out += ",\"vec_len\":" + std::to_string(req.vec_len);
-  out += ",\"bytes_per_pe\":" + std::to_string(bytes);
-  out += ",\"algorithm\":\"" + plan.algorithm + "\",";
+  out += "\",\"grid\":{\"width\":";
+  json::append_int(out, req.grid.width);
+  out += ",\"height\":";
+  json::append_int(out, req.grid.height);
+  out += "},\"vec_len\":";
+  json::append_int(out, req.vec_len);
+  out += ",\"bytes_per_pe\":";
+  json::append_int(out, u64{req.vec_len} * 4);
+  out += ",\"algorithm\":\"";
+  out += json::escape(plan.algorithm);
+  out += "\",";
   if (desc != nullptr) {
-    out += "\"color_budget\":" + std::to_string(desc->color_budget);
-    out += ",\"auto_selectable\":";
-    out += desc->auto_selectable ? "true" : "false";
-    out += ",\"model_generated\":";
-    out += desc->model_generated ? "true" : "false";
-    out += ",";
+    out += "\"color_budget\":";
+    json::append_int(out, desc->color_budget);
+    out += desc->auto_selectable ? ",\"auto_selectable\":true"
+                                 : ",\"auto_selectable\":false";
+    out += desc->model_generated ? ",\"model_generated\":true,"
+                                 : ",\"model_generated\":false,";
   }
   out += extra_fields;
   // The stepping mode any in-process fabric verification runs under (the
@@ -63,16 +63,33 @@ std::string plan_response_json(const PlanRequest& req, const Plan& plan,
   // attributable to its engine.
   out += "\"fabric_stepping\":\"";
   out += wse::stepping_mode_name(wse::FabricOptions{}.stepping);
-  out += "\",";
+  out += "\",\"predicted_cycles\":";
+  json::append_int(out, plan.prediction.cycles);
+  char us[64];
+  std::snprintf(us, sizeof us, "%.3f", mp.cycles_to_us(plan.prediction.cycles));
+  out += ",\"predicted_us\":";
+  out += us;
   const CostTerms& t = plan.prediction.terms;
-  out += "\"predicted_cycles\":" + std::to_string(plan.prediction.cycles);
-  out += ",\"predicted_us\":" + fmt("%.3f", mp.cycles_to_us(plan.prediction.cycles));
-  out += ",\"terms\":{\"energy\":" + std::to_string(t.energy) +
-         ",\"distance\":" + std::to_string(t.distance) +
-         ",\"depth\":" + std::to_string(t.depth) +
-         ",\"contention\":" + std::to_string(t.contention) +
-         ",\"links\":" + std::to_string(t.links) + "}";
-  out += ",\"schedule\":" + wse::to_json(plan.schedule) + "}";
+  out += ",\"terms\":{\"energy\":";
+  json::append_int(out, t.energy);
+  out += ",\"distance\":";
+  json::append_int(out, t.distance);
+  out += ",\"depth\":";
+  json::append_int(out, t.depth);
+  out += ",\"contention\":";
+  json::append_int(out, t.contention);
+  out += ",\"links\":";
+  json::append_int(out, t.links);
+  out += "},\"schedule\":";
+  wse::append_json(out, plan.schedule);
+  out += '}';
+}
+
+std::string plan_response_json(const PlanRequest& req, const Plan& plan,
+                               const MachineParams& mp,
+                               std::string_view extra_fields) {
+  std::string out;
+  append_plan_response_json(out, req, plan, mp, extra_fields);
   return out;
 }
 

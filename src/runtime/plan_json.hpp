@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "runtime/planner.hpp"
 
@@ -17,7 +18,7 @@ namespace wsr::runtime {
 
 class PlanCache;
 
-/// Serializes the full plan response:
+/// Appends the full plan response to `out`:
 ///
 ///   {"collective":..., "grid":{...}, "vec_len":..., "bytes_per_pe":...,
 ///    "algorithm":..., [descriptor metadata,] <extra_fields>
@@ -28,12 +29,21 @@ class PlanCache;
 /// is present when the chosen algorithm resolves in the registry.
 /// `extra_fields` is spliced verbatim at the marked position — each field
 /// must carry its own trailing comma (e.g. "\"cache_tier\":\"disk\",").
+/// The plan's algorithm label and schedule name are escaped JSON strings
+/// (a restored record carries them), so the object is always one line.
+/// The schedule is appended in place (wse::append_json), and what `out`
+/// already holds is kept, so a batch writes its responses back to back.
 /// Deterministic: the same (request, plan, machine) always yields the same
 /// bytes, which is what makes warm-restart responses diffable against the
 /// cold run.
+void append_plan_response_json(std::string& out, const PlanRequest& req,
+                               const Plan& plan, const MachineParams& mp,
+                               std::string_view extra_fields = {});
+
+/// The plan response alone: append_plan_response_json into an empty string.
 std::string plan_response_json(const PlanRequest& req, const Plan& plan,
                                const MachineParams& mp,
-                               const std::string& extra_fields = "");
+                               std::string_view extra_fields = {});
 
 /// One JSON field "plan_cache":{"hits":..,"misses":..,"evictions":..[,disk]}
 /// with a trailing comma, ready for `extra_fields`. Persistent-tier

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/minijson.hpp"
 #include "common/parallel.hpp"
 #include "runtime/plan_json.hpp"
 #include "store/record.hpp"
@@ -67,7 +68,8 @@ std::string Core::serve_batch(std::vector<Request>& batch) {
         line.id_json.empty() ? "" : "\"id\":" + line.id_json + ",";
     if (!line.error.empty()) {
       request_errors_.fetch_add(1);
-      out += "{" + id_field + "\"error\":\"" + json_escape(line.error) + "\"}\n";
+      out += "{" + id_field + "\"error\":\"" + json::escape(line.error) +
+             "\"}\n";
     } else if (line.stats) {
       out += stats_json() + "\n";
     } else if (line.is_cache()) {
@@ -78,8 +80,9 @@ std::string Core::serve_batch(std::vector<Request>& batch) {
       extras += runtime::name(tiers[i]);
       extras += "\",";
       extras += runtime::plan_cache_counters_json(cache_);
-      out += runtime::plan_response_json(line.req, *plans[i], line.mp, extras);
-      out += "\n";
+      runtime::append_plan_response_json(out, line.req, *plans[i], line.mp,
+                                         extras);
+      out += '\n';
     }
     metrics_.responses.fetch_add(1);
     const i64 dt = now_us() - line.t_enqueue_us;
@@ -229,7 +232,7 @@ std::string Core::stats_json() {
   // and the tier's entry below, so their hits/misses always agree.
   const store::StoreLedger s = disk_ ? disk_->stats() : store::StoreLedger{};
   if (disk_) {
-    out += ",\"disk\":{\"dir\":\"" + json_escape(disk_->dir()) + "\"";
+    out += ",\"disk\":{\"dir\":\"" + json::escape(disk_->dir()) + "\"";
     out += ",\"entries\":" + std::to_string(s.entries);
     out += ",\"loaded\":" + std::to_string(s.loaded);
     out += ",\"load_errors\":" + std::to_string(s.load_errors);

@@ -73,7 +73,8 @@ class Core {
   explicit Core(const Options& opts);
 
   /// Plans one batch of parsed requests and returns the response bytes in
-  /// input order (one '\n'-terminated JSON object per line). The batch's
+  /// input order (one '\n'-terminated JSON object per line), each written
+  /// once, straight into the returned buffer. The batch's
   /// plannable lines go through PlanCache::get_or_plan on `jobs` workers,
   /// each for its own machine (requests may override it via "tr" and
   /// "link_overrides"). Lines carrying a preset error (parse failures, shed

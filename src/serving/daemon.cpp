@@ -299,7 +299,11 @@ void Daemon::complete_batch(u64 conn_id, std::string out) {
     destroy(c);
     return;
   }
-  c.wbuf += out;
+  if (c.wbuf.empty()) {
+    c.wbuf = std::move(out);  // the common case: take the batch's buffer
+  } else {
+    c.wbuf += out;
+  }
   if (!flush(c)) return;
   if (c.paused_pipeline && c.pending.size() < limits_.max_pipeline / 2 &&
       !c.eof_seen && !c.close_after_flush && !draining_) {

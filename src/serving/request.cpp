@@ -9,29 +9,6 @@
 
 namespace wsr::serving {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string error_response(const std::string& code,
                            const std::string& id_json) {
   std::string out = "{";
@@ -61,7 +38,7 @@ Request parse_request(const std::string& text) {
   if (const json::Value* id = v.get("id")) {
     if (id->is_string()) {
       line.id_json.push_back('"');
-      line.id_json += json_escape(id->string);
+      line.id_json += json::escape(id->string);
       line.id_json.push_back('"');
     } else if (id->is_number()) {
       char buf[32];
@@ -99,7 +76,7 @@ Request parse_request(const std::string& text) {
     return line;
   }
   if (verb != "plan") {
-    line.error = "unknown verb \"" + json_escape(verb) +
+    line.error = "unknown verb \"" + verb +
                  "\" (expected \"plan\", \"stats\", \"cache_get\" or "
                  "\"cache_put\")";
     return line;
@@ -212,7 +189,7 @@ Request parse_request(const std::string& text) {
     line.req.algorithm =
         runtime::resolve_algorithm_name(line.req.collective, dims, algo);
     if (line.req.algorithm.empty()) {
-      line.error = "unknown algorithm \"" + json_escape(algo) +
+      line.error = "unknown algorithm \"" + algo +
                    "\" for this collective/grid";
       return line;
     }
@@ -220,7 +197,7 @@ Request parse_request(const std::string& text) {
         registry::AlgorithmRegistry::instance().find(
             line.req.collective, dims, line.req.algorithm);
     if (!desc->applicable(line.req.grid, line.req.vec_len)) {
-      line.error = "algorithm \"" + json_escape(line.req.algorithm) +
+      line.error = "algorithm \"" + line.req.algorithm +
                    "\" is not applicable to this (grid, vec_len)";
       return line;
     }

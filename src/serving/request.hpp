@@ -19,7 +19,8 @@ namespace wsr::serving {
 /// ready) against it.
 struct Request {
   std::string id_json;  ///< echoed "id" value, already serialized ("" = none)
-  std::string error;    ///< non-empty = answer {"error":...} for this slot
+  std::string error;    ///< non-empty = answer {"error":...} for this slot;
+                        ///< plain text, escaped once when it is written
   bool stats = false;
   bool cache_get = false;  ///< peering lookup; payload = base64 PlanKey
   bool cache_put = false;  ///< peering insert; payload = base64 record
@@ -32,9 +33,6 @@ struct Request {
   bool is_cache() const { return cache_get || cache_put; }
   bool is_plan() const { return error.empty() && !stats && !is_cache(); }
 };
-
-/// JSON string-body escaping for error messages and echoed fields.
-std::string json_escape(const std::string& s);
 
 /// Parses and validates one request line. Never throws and never aborts:
 /// anything malformed or unplannable comes back as Request::error, which

@@ -61,6 +61,19 @@ void write_machine(Writer& w, const MachineParams& mp) {
   }
 }
 
+/// Reads one enum byte, refusing (r.ok = false) a value past `last`, the
+/// enum's final enumerator: a decoded record never holds an enumerator
+/// the code does not name, which the validator and simulators index by.
+template <typename E>
+E read_enum(Reader& r, E last) {
+  const u8 v = r.u8v();
+  if (v > static_cast<u8>(last)) {
+    r.ok = false;
+    return E{};
+  }
+  return static_cast<E>(v);
+}
+
 MachineParams read_machine(Reader& r) {
   MachineParams mp;
   mp.ramp_latency = r.u32v();
@@ -73,7 +86,7 @@ MachineParams read_machine(Reader& r) {
   for (LinkOverride& o : mp.link_overrides) {
     o.x = r.u32v();
     o.y = r.u32v();
-    o.dir = static_cast<Dir>(r.u8v());
+    o.dir = read_enum(r, Dir::Ramp);
     o.factor = r.u32v();
   }
   return mp;
@@ -89,7 +102,7 @@ void write_key(Writer& w, const PlanKey& key) {
 }
 
 void read_key(Reader& r, PlanKey* key) {
-  key->collective = static_cast<registry::Collective>(r.u8v());
+  key->collective = read_enum(r, registry::Collective::ReduceScatter);
   key->grid.width = r.u32v();
   key->grid.height = r.u32v();
   key->vec_len = r.u32v();
@@ -140,6 +153,10 @@ bool read_schedule(Reader& r, wse::Schedule* out) {
   const u32 mem_words = r.u32v();
   std::string name = r.str();
   if (!r.ok || width == 0 || height == 0) return false;
+  // Each PE takes at least 8 more bytes (its op and rule counts): refuse a
+  // grid the rest of the payload cannot describe before sizing the per-PE
+  // arrays for it. By division, as width * height * 8 can overflow u64.
+  if (u64{width} * height > r.remaining() / 8) return false;
   wse::Schedule s({width, height}, vec_len, std::move(name));
   s.mem_words = mem_words;
   const u32 num_results = r.u32v();
@@ -154,11 +171,11 @@ bool read_schedule(Reader& r, wse::Schedule* out) {
     s.programs[pe].ops.resize(num_ops);
     for (u32 i = 0; i < num_ops; ++i) {
       wse::Op& op = s.programs[pe].ops[i];
-      op.kind = static_cast<wse::OpKind>(r.u8v());
+      op.kind = read_enum(r, wse::OpKind::RecvReduceSend);
       op.in_color = r.u8v();
       op.out_color = r.u8v();
       op.len = r.u32v();
-      op.mode = static_cast<wse::RecvMode>(r.u8v());
+      op.mode = read_enum(r, wse::RecvMode::AddModulo);
       op.modulo = r.u32v();
       op.src_offset = r.u32v();
       op.dst_offset = r.u32v();
@@ -177,9 +194,10 @@ bool read_schedule(Reader& r, wse::Schedule* out) {
     for (u32 i = 0; i < num_rules; ++i) {
       wse::RouteRule& rule = s.rules[pe][i];
       rule.color = r.u8v();
-      rule.accept = static_cast<Dir>(r.u8v());
+      rule.accept = read_enum(r, Dir::Ramp);
       rule.forward = r.u8v();
       rule.count = r.u32v();
+      if (rule.forward >> kNumDirs != 0) return false;  // bits above Ramp
     }
   }
   if (!r.ok) return false;
@@ -216,14 +234,17 @@ bool read_payload(Reader& r, PlanKey* key, Plan* plan) {
 }
 
 std::string serialize_plan_record(const PlanKey& key, const Plan& plan) {
-  Writer payload;
-  write_payload(payload, key, plan);
-  Writer rec;
-  rec.u32v(kRecordMagic);
-  rec.u64v(payload.out.size());
-  rec.u64v(fnv1a(payload.out.data(), payload.out.size()));
-  rec.out.append(payload.out);
-  return rec.out;
+  // The payload is written after a placeholder frame, which is filled in
+  // once the payload's size and checksum are known: no copy of the payload.
+  Writer w;
+  w.out.resize(kFrameSize);
+  write_payload(w, key, plan);
+  const char* payload = w.out.data() + kFrameSize;
+  const u64 payload_size = w.out.size() - kFrameSize;
+  put_le(w.out.data(), kRecordMagic);
+  put_le(w.out.data() + 4, payload_size);
+  put_le(w.out.data() + 12, fnv1a(payload, payload_size));
+  return std::move(w.out);
 }
 
 bool parse_plan_record(const std::string& bytes, PlanKey* key, Plan* plan) {

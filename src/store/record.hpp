@@ -43,20 +43,32 @@ constexpr std::size_t kFrameSize = 4 + 8 + 8;   // magic | size | checksum
 u64 fnv1a(const char* data, std::size_t n);
 
 // --- little-endian buffer writer/reader --------------------------------------
-// Integers are written byte-by-byte (host endianness never leaks into the
-// bytes); the header's endian tag exists so a hypothetical big-endian build
-// rejects rather than misreads stores written before this convention.
+// Integers are stored least significant byte first whatever the host's
+// byte order (host endianness never leaks into the bytes); the header's
+// endian tag exists so a hypothetical big-endian build rejects rather than
+// misreads stores written before this convention.
+
+/// Stores `v` little-endian into the sizeof(T) bytes at `dst`.
+template <typename T>
+void put_le(char* dst, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    dst[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
 
 struct Writer {
   std::string out;
 
+  /// Appends `v` as one whole little-endian word.
+  template <typename T>
+  void word(T v) {
+    char bytes[sizeof(T)];
+    put_le(bytes, v);
+    out.append(bytes, sizeof bytes);
+  }
   void u8v(u8 v) { out.push_back(static_cast<char>(v)); }
-  void u32v(u32 v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-  void u64v(u64 v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  void u32v(u32 v) { word(v); }
+  void u64v(u64 v) { word(v); }
   void i64v(i64 v) { u64v(static_cast<u64>(v)); }
   void f64v(double v);
   void str(const std::string& s) {
@@ -75,6 +87,7 @@ struct Reader {
     if (!ok || size - pos < n) ok = false;
     return ok;
   }
+  std::size_t remaining() const { return size - pos; }
   u8 u8v() {
     if (!need(1)) return 0;
     return static_cast<u8>(data[pos++]);
@@ -112,7 +125,12 @@ std::string header_bytes();
 void write_payload(Writer& w, const PlanKey& key, const Plan& plan);
 
 /// Decodes a full payload; false on any truncation, impossible field, or
-/// trailing bytes (the payload must be fully consumed).
+/// trailing bytes (the payload must be fully consumed). Impossible fields
+/// include an enum byte outside its enum (collective, op kind, receive
+/// mode, accept or link direction), a forward mask with bits above Ramp,
+/// and a grid larger than the rest of the payload could describe (every
+/// PE takes at least 8 bytes), which is refused before anything is sized
+/// for it. Whether the schedule is sound is wse::validate's question.
 bool read_payload(Reader& r, PlanKey* key, Plan* plan);
 
 /// Serializes one (key, plan) record — frame + checksummed payload — ready

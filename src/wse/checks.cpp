@@ -66,6 +66,13 @@ std::vector<std::string> validate(const Schedule& s) {
     problems.push_back("program/rule arrays do not match the grid size");
     return problems;
   }
+  // The simulators and the result check index PE memory by these ids.
+  for (u32 pe : s.result_pes) {
+    if (pe >= n) {
+      problems.push_back("result PE " + std::to_string(pe) +
+                         " is off the grid");
+    }
+  }
   if (s.colors_used() > kNumColors) {
     problems.push_back("schedule uses more than " + std::to_string(kNumColors) +
                        " colors");

@@ -16,7 +16,8 @@ namespace wsr::wse {
 
 /// Returns a list of human-readable problems; empty means the schedule passed
 /// all static checks:
-///   * grid/program/rule array sizes agree,
+///   * grid/program/rule array sizes agree, and every result PE is on
+///     the grid,
 ///   * every rule has count > 0 and a non-empty forward set,
 ///   * no rule forwards back into its accept direction,
 ///   * no rule accepts from or forwards beyond the grid boundary,

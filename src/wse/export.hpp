@@ -11,7 +11,14 @@
 
 namespace wsr::wse {
 
-/// Serializes the full schedule (grid, programs, rules, result PEs) as JSON.
+/// Appends the full schedule (name, grid, programs, rules, result PEs) to
+/// `out` as one JSON object, leaving what `out` already holds intact. One
+/// pass through std::to_chars into a buffer reserved once from the
+/// schedule's PE, op and rule counts; the name is escaped (json::escape),
+/// every other field is a number or a fixed token.
+void append_json(std::string& out, const Schedule& s);
+
+/// The schedule as JSON: append_json into an empty string.
 std::string to_json(const Schedule& s);
 
 /// Renders per-PE op completion times from a fabric run as an aligned text

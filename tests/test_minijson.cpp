@@ -1,6 +1,6 @@
-// Tests of the serving layer's JSON reader (common/minijson.hpp): the
-// request grammar wsrd accepts, escape handling, and rejection of the
-// malformed input a public socket will inevitably receive.
+// Tests of the serving layer's JSON helpers (common/minijson.hpp): the
+// request grammar wsrd accepts, escape handling in both directions, and
+// rejection of the malformed input a public socket will inevitably receive.
 #include "common/minijson.hpp"
 
 #include <gtest/gtest.h>
@@ -59,6 +59,33 @@ TEST(MiniJson, ParsesNestedObjectsAndArrays) {
 TEST(MiniJson, StringEscapes) {
   const Value v = parse_ok(R"({"s":"a\"b\\c\/d\n\tAé"})");
   EXPECT_EQ(v.get_string("s"), "a\"b\\c/d\n\tA\xc3\xa9");
+}
+
+TEST(MiniJson, EscapeControlAndQuotes) {
+  EXPECT_EQ(escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(escape("line\nfeed\ttab"), "line\\nfeed\\ttab");
+  EXPECT_EQ(escape(std::string("\x01", 1)), "\\u0001");
+}
+
+// Whatever bytes go in, the escaped text parses back to exactly them.
+TEST(MiniJson, EscapeRoundTripsThroughParse) {
+  std::string all;
+  for (int c = 1; c < 128; ++c) all.push_back(static_cast<char>(c));
+  const std::string quoted = "\"" + escape(all) + "\"";
+  EXPECT_EQ(quoted.find('\n'), std::string::npos);
+  EXPECT_EQ(parse_ok(quoted).string, all);
+}
+
+TEST(MiniJson, AppendIntWritesDecimalText) {
+  std::string out = "x";
+  append_int(out, u32{0});
+  out += ',';
+  append_int(out, u32{4294967295u});
+  out += ',';
+  append_int(out, i64{-42});
+  out += ',';
+  append_int(out, u8{255});
+  EXPECT_EQ(out, "x0,4294967295,-42,255");
 }
 
 TEST(MiniJson, SurrogatePairsAndLoneSurrogates) {

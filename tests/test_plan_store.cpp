@@ -20,6 +20,7 @@
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "common/minijson.hpp"
@@ -29,6 +30,7 @@
 #include "store/fault_tolerant_store.hpp"
 #include "store/peer_store.hpp"
 #include "store/record.hpp"
+#include "wse/checks.hpp"
 #include "store_fakes.hpp"
 
 namespace wsr::store {
@@ -998,6 +1000,221 @@ TEST(DiskTierWire, StatsAndPlanCacheFieldsArePinned) {
   EXPECT_EQ(uint_of(file, "gets"), 2u);
   EXPECT_EQ(uint_of(file, "puts"), 1u);
   EXPECT_EQ(uint_of(file, "hot_tracked"), 2u);
+}
+
+
+// --- record text and decoder refusals ----------------------------------------
+
+/// Text holding a quote, a backslash, a newline and a control byte, shaped
+/// to spoof a response line if written raw.
+const std::string kHostileText =
+    std::string("evil\"na\\me\n{\"id\":999,\"error\":\"spoofed\"}") +
+    std::string(1, '\x01');
+
+// Record text reaches responses: the schedule name of a cache_put record,
+// and the plan label of a forced key's record (record_algorithm_resolves
+// checks only the key's name). Each answer must stay one line of JSON that
+// reads the text back unchanged.
+TEST(ServingCacheVerbs, RecordTextCannotBreakResponseFraming) {
+  serving::Core::Options opts;
+  opts.serve_cache = true;
+  serving::Core core(opts);
+
+  const PlanRequest model_req = reduce_req(8, 16);
+  Plan named = *plan_of(model_req);
+  named.schedule.name = kHostileText;
+  const PlanRequest forced_req{Collective::Reduce, {8, 1}, 16, "Chain"};
+  Plan labelled = *plan_of(forced_req);
+  labelled.algorithm = kHostileText;
+  for (const auto& [req, plan] : {std::pair{&model_req, &named},
+                                  std::pair{&forced_req, &labelled}}) {
+    ASSERT_EQ(serve_one(core, strip_newline(PeerStore::put_request_line(
+                                  key_of(*req), *plan))),
+              "{\"ok\":true}\n");
+  }
+
+  const std::string model_line =
+      "{\"collective\":\"reduce\",\"grid\":\"8\",\"bytes\":64}";
+  const std::string forced_line =
+      "{\"collective\":\"reduce\",\"grid\":\"8\",\"bytes\":64,"
+      "\"algorithm\":\"Chain\"}";
+  for (const std::string& line : {model_line, forced_line}) {
+    const std::string reply = serve_one(core, line);
+    ASSERT_EQ(reply.find('\n'), reply.size() - 1) << reply.substr(0, 400);
+    const json::Value v = parse_line(strip_newline(reply));
+    EXPECT_EQ(v.get_string("cache_tier"), "memory");
+    ASSERT_NE(v.get("schedule"), nullptr);
+    if (line == model_line) {
+      EXPECT_EQ(v.get("schedule")->get_string("name"), kHostileText);
+    } else {
+      EXPECT_EQ(v.get_string("algorithm"), kHostileText);
+    }
+  }
+}
+
+/// A record of `req`'s key whose schedule claims a `width` x `height` grid
+/// but carries one PE's worth of payload.
+std::string oversized_grid_record(const PlanRequest& req, u32 width,
+                                  u32 height) {
+  Plan plan = *plan_of(req);
+  plan.schedule = wse::Schedule();
+  plan.schedule.grid = {width, height};
+  return serialize_plan_record(key_of(req), plan);
+}
+
+wse::Op& first_op(Plan& p) {
+  for (wse::PEProgram& prog : p.schedule.programs) {
+    if (!prog.ops.empty()) return prog.ops[0];
+  }
+  throw std::logic_error("plan without ops");
+}
+
+wse::RouteRule& first_rule(Plan& p) {
+  for (std::vector<wse::RouteRule>& rules : p.schedule.rules) {
+    if (!rules.empty()) return rules[0];
+  }
+  throw std::logic_error("plan without rules");
+}
+
+/// Records of `req`'s key, each with one enum byte outside its enum (or a
+/// forward mask with a bit above Ramp) and valid framing and checksum.
+std::vector<std::string> out_of_range_enum_records(const PlanRequest& req) {
+  std::vector<std::function<void(PlanKey&, Plan&)>> mutations = {
+      [](PlanKey& k, Plan&) { k.collective = static_cast<Collective>(9); },
+      [](PlanKey& k, Plan&) {
+        k.machine.link_overrides = {{0, 0, static_cast<Dir>(5), 2}};
+      },
+      [](PlanKey&, Plan& p) { first_op(p).kind = static_cast<wse::OpKind>(3); },
+      [](PlanKey&, Plan& p) { first_op(p).mode = static_cast<wse::RecvMode>(3); },
+      [](PlanKey&, Plan& p) { first_rule(p).accept = static_cast<Dir>(200); },
+      [](PlanKey&, Plan& p) { first_rule(p).forward |= 0x20; },
+  };
+  std::vector<std::string> records;
+  for (const auto& mutate : mutations) {
+    PlanKey key = key_of(req);
+    Plan plan = *plan_of(req);
+    mutate(key, plan);
+    records.push_back(serialize_plan_record(key, plan));
+  }
+  return records;
+}
+
+/// `req`'s plan with a result PE far off its grid: decodes, fails validate.
+std::shared_ptr<const Plan> off_grid_result_plan_of(const PlanRequest& req) {
+  auto bad = std::make_shared<Plan>(*plan_of(req));
+  bad->schedule.result_pes = {1000};
+  return bad;
+}
+
+TEST(RecordCodec, RefusesAGridLargerThanItsPayload) {
+  const PlanRequest req = reduce_req(4, 16);
+  PlanKey k;
+  Plan p;
+  // 60000 x 60000 PEs would size per-PE arrays of 3.6e9 entries; 4000 x
+  // 4000 would zero-fill about 720 MB before failing.
+  EXPECT_FALSE(parse_plan_record(oversized_grid_record(req, 60000, 60000), &k, &p));
+  EXPECT_FALSE(parse_plan_record(oversized_grid_record(req, 4000, 4000), &k, &p));
+  EXPECT_FALSE(parse_plan_record(oversized_grid_record(req, ~0u, ~0u), &k, &p));
+  // Anti-vacuity: the same record with its own grid decodes.
+  EXPECT_TRUE(parse_plan_record(
+      serialize_plan_record(key_of(req), *plan_of(req)), &k, &p));
+}
+
+TEST(RecordCodec, RefusesOutOfRangeEnumBytes) {
+  const PlanRequest req = reduce_req(4, 16);
+  PlanKey k;
+  Plan p;
+  const std::vector<std::string> records = out_of_range_enum_records(req);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_FALSE(parse_plan_record(records[i], &k, &p)) << "mutation " << i;
+  }
+  const std::string key_bytes = serialize_plan_key(
+      PlanKey{static_cast<Collective>(9), {4, 1}, 16, {}, ""});
+  EXPECT_FALSE(parse_plan_key(key_bytes).has_value());
+}
+
+TEST(RecordCodec, ValidateFlagsAResultPeOffTheGrid) {
+  const PlanRequest req = reduce_req(4, 16);
+  PlanKey k;
+  Plan p;
+  ASSERT_TRUE(parse_plan_record(
+      serialize_plan_record(key_of(req), *off_grid_result_plan_of(req)), &k, &p));
+  const std::vector<std::string> problems = wse::validate(p.schedule);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0], "result PE 1000 is off the grid");
+  EXPECT_FALSE(runtime::servable(p, k.machine));
+}
+
+TEST(ServingCacheVerbs, PutRefusesRecordsTheDecoderOrValidatorRefuse) {
+  serving::Core::Options opts;
+  opts.serve_cache = true;
+  serving::Core core(opts);
+  const PlanRequest req = reduce_req(4, 16);
+  const auto put_line = [](const std::string& record) {
+    return "{\"verb\":\"cache_put\",\"schema\":2,\"record\":\"" +
+           base64_encode(record) + "\"}";
+  };
+  const std::string plan_line =
+      "{\"collective\":\"reduce\",\"grid\":\"4\",\"bytes\":64}";
+
+  std::vector<std::string> undecodable = out_of_range_enum_records(req);
+  undecodable.push_back(oversized_grid_record(req, 60000, 60000));
+  for (const std::string& record : undecodable) {
+    EXPECT_EQ(serve_one(core, put_line(record)),
+              "{\"error\":\"bad_cache_record\"}\n");
+    EXPECT_NE(serve_one(core, plan_line).find("\"schedule\""), std::string::npos);
+  }
+  EXPECT_EQ(serve_one(core, put_line(serialize_plan_record(
+                                key_of(req), *off_grid_result_plan_of(req)))),
+            "{\"ok\":false}\n");
+  EXPECT_NE(serve_one(core, plan_line).find("\"schedule\""), std::string::npos);
+}
+
+TEST(PersistentCache, RefusedRecordsCountAsLoadErrorsAndTheCoreBoots) {
+  TempDir dir;
+  const PlanRequest req = reduce_req(4, 16);
+  std::string image = header_bytes();
+  image += oversized_grid_record(req, 60000, 60000);
+  const std::vector<std::string> enums = out_of_range_enum_records(req);
+  for (const std::string& record : enums) image += record;
+  {
+    std::ofstream out(dir.path / "plans.wsrpc", std::ios::binary);
+    out << image;
+  }
+  {
+    runtime::PersistentPlanCache file(dir.str());
+    const StoreLedger ledger = file.stats();
+    EXPECT_EQ(ledger.load_errors, 1 + enums.size());
+    EXPECT_EQ(ledger.loaded, 0u);
+  }
+  serving::Core::Options opts;
+  opts.cache_dir = dir.str();
+  serving::Core core(opts);
+  EXPECT_NE(serve_one(core,
+                      "{\"collective\":\"reduce\",\"grid\":\"4\",\"bytes\":64}")
+                .find("\"cache_tier\":\"planned\""),
+            std::string::npos);
+}
+
+// wsr_plan --cache-dir --simulate's path: a stored record whose result PE is
+// off the grid is refused by the tier walk, so verification never indexes
+// PE memory by it.
+TEST(PlanCacheTiers, OffGridResultPeRecordPlansFresh) {
+  TempDir dir;
+  const PlanRequest req = reduce_req(4, 16);
+  {
+    runtime::PersistentPlanCache file(dir.str());
+    file.put(key_of(req), off_grid_result_plan_of(req));
+  }
+  runtime::PersistentPlanCache file(dir.str());
+  PlanCache cache;
+  cache.attach_disk_store(&file);
+  PlanSource source = PlanSource::MemoryHit;
+  const auto plan = cache.get_or_plan(test_planner(), req, &source);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(source, PlanSource::Planned);
+  EXPECT_TRUE(runtime::servable(*plan, key_of(req).machine));
+  EXPECT_EQ(cache.invalid_plans(), 1u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <thread>
 
+#include "common/minijson.hpp"
 #include "runtime/plan_json.hpp"
 #include "serving/core.hpp"
 #include "serving/event_loop.hpp"
@@ -124,6 +125,21 @@ TEST(ParseRequest, StatsVerb) {
   EXPECT_NE(bad.error.find("unknown verb"), std::string::npos);
 }
 
+// Request text quoted in an error message is escaped once, when the
+// answer is written: the client decodes exactly the name it sent.
+TEST(ParseRequest, ErrorTextIsEscapedOnceWhenWritten) {
+  const Request bad = parse_request(R"({"verb":"a\"b\\c"})");
+  EXPECT_EQ(bad.error.rfind("unknown verb \"a\"b\\c\" (", 0), 0u) << bad.error;
+  Core core(Core::Options{});
+  std::vector<Request> batch;
+  batch.push_back(bad);
+  const std::string reply = core.serve_batch(batch);
+  ASSERT_EQ(reply.find('\n'), reply.size() - 1);
+  const auto v = json::parse(reply);
+  ASSERT_TRUE(v.has_value()) << reply;
+  EXPECT_EQ(v->get_string("error"), bad.error);
+}
+
 TEST(ParseRequest, RejectsMalformedLinesInBand) {
   EXPECT_NE(parse_request("not json at all").error, "");
   EXPECT_NE(parse_request("[1,2,3]").error, "");  // not an object
@@ -208,12 +224,6 @@ TEST(ParseRequest, ErrorResponseShape) {
   EXPECT_EQ(error_response("overloaded"), "{\"error\":\"overloaded\"}\n");
   EXPECT_EQ(error_response("too_large", "\"id9\""),
             "{\"id\":\"id9\",\"error\":\"too_large\"}\n");
-}
-
-TEST(ParseRequest, JsonEscapeControlAndQuotes) {
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("line\nfeed\ttab"), "line\\nfeed\\ttab");
-  EXPECT_EQ(json_escape(std::string("\x01", 1)), "\\u0001");
 }
 
 // --- EventLoop --------------------------------------------------------------

@@ -6,9 +6,10 @@ Usage: wsrd_smoke.py <path-to-wsrd> <path-to-wsr_plan>
 What it checks (the PR's acceptance criteria, also run as the `wsrd_smoke`
 ctest and by the CI docs job):
 
-1. Three requests piped through `wsrd --pipe` answer with plan objects that
-   are identical to `wsr_plan --json` for the same requests, once the
-   serving-only fields (id, cache_tier, plan_cache counters) are stripped.
+1. Four requests piped through `wsrd --pipe`, one of them a 12 MB
+   response, answer with plan objects that are identical to `wsr_plan
+   --json` for the same requests, once the serving-only fields (id,
+   cache_tier, plan_cache counters) are stripped.
 2. A cold run against an empty --cache-dir plans everything ("planned"),
    and a *restarted* daemon on the same directory answers every request
    from the disk tier ("disk") with bit-identical plan JSON.
@@ -23,8 +24,8 @@ ctest and by the CI docs job):
 6. wsrd's memory does not grow with the machines it plans for: 16
    `reduce 512` lines that differ only in "tr" peak within one 512-PE
    Auto-Gen table of 16 lines that differ only in "bytes" (peak RSS of the
-   child, read with os.wait4), so neither per-machine tables nor duplicate
-   concurrent fills come back.
+   child, read with os.wait4, measured before anything else runs), so
+   neither per-machine tables nor duplicate concurrent fills come back.
 
 Stdlib only (no pip installs); exits non-zero with a diagnostic on the
 first violation.
@@ -42,6 +43,9 @@ REQUESTS = [
     {"collective": "allreduce", "grid": "8x8", "bytes": 512, "id": 2},
     {"collective": "reduce", "grid": "32", "bytes": 256,
      "algorithm": "TwoPhase", "id": 3},
+    # X-Y AutoGen on a 128x128 grid: a 12 MB response, so the front ends
+    # and the disk restart are compared at megabyte size too.
+    {"collective": "allreduce", "grid": "128x128", "bytes": 16384, "id": 4},
 ]
 
 # Fields the daemon adds on top of the wsr_plan --json object, and the
@@ -163,6 +167,24 @@ def main():
     wsrd, wsr_plan = sys.argv[1], sys.argv[2]
     cache_dir = tempfile.mkdtemp(prefix="wsrd_smoke_")
     try:
+        # --- 0. one Auto-Gen table serves every machine --------------------
+        # Runs first: a child's ru_maxrss starts from this process's RSS at
+        # fork, and the checks below hold megabyte responses as parsed
+        # objects, which would raise the floor of both measurements.
+        argv = [wsrd, "--pipe", "--jobs=4"]
+        by_tr = [{"collective": "reduce", "grid": "512", "bytes": 1024,
+                  "tr": k, "id": k} for k in range(16)]
+        by_bytes = [{"collective": "reduce", "grid": "512",
+                     "bytes": 1024 * (k + 1), "id": k} for k in range(16)]
+        tr_mb = peak_rss_mb(argv, by_tr)
+        bytes_mb = peak_rss_mb(argv, by_bytes)
+        if tr_mb > bytes_mb + TABLE_512_MB:
+            fail(f"16 machines peaked at {tr_mb:.0f} MB, more than one "
+                 f"512-PE table ({TABLE_512_MB} MB) over one machine's "
+                 f"{bytes_mb:.0f} MB")
+        print(f"ok: 16 values of tr peak at {tr_mb:.0f} MB, 16 vector "
+              f"lengths at {bytes_mb:.0f} MB")
+
         # --- 1. wsrd pipe mode vs wsr_plan --json --------------------------
         daemon = run_daemon(wsrd, REQUESTS)
         for req, resp in zip(REQUESTS, daemon):
@@ -311,20 +333,6 @@ def main():
         print(f"ok: wsr_plan exits 2 on {len(BAD_CLI_CASES)} malformed or "
               f"out-of-range --tr / grid / bytes arguments")
 
-        # --- 8. one Auto-Gen table serves every machine --------------------
-        argv = [wsrd, "--pipe", "--jobs=4"]
-        by_tr = [{"collective": "reduce", "grid": "512", "bytes": 1024,
-                  "tr": k, "id": k} for k in range(16)]
-        by_bytes = [{"collective": "reduce", "grid": "512",
-                     "bytes": 1024 * (k + 1), "id": k} for k in range(16)]
-        tr_mb = peak_rss_mb(argv, by_tr)
-        bytes_mb = peak_rss_mb(argv, by_bytes)
-        if tr_mb > bytes_mb + TABLE_512_MB:
-            fail(f"16 machines peaked at {tr_mb:.0f} MB, more than one "
-                 f"512-PE table ({TABLE_512_MB} MB) over one machine's "
-                 f"{bytes_mb:.0f} MB")
-        print(f"ok: 16 values of tr peak at {tr_mb:.0f} MB, 16 vector "
-              f"lengths at {bytes_mb:.0f} MB")
         return 0
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
